@@ -410,14 +410,7 @@ func (c *Cluster) dispatch(ctx context.Context, pl plan) (*Dispatch, error) {
 		d.st.Shards = len(d.shards)
 
 		// Wake idle waiters when the caller cancels, so they can exit.
-		watchDone := make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-				d.cond.Broadcast()
-			case <-watchDone:
-			}
-		}()
+		stopWatch := context.AfterFunc(ctx, d.broadcast)
 
 		var wg sync.WaitGroup
 		for _, w := range c.workers {
@@ -428,7 +421,7 @@ func (c *Cluster) dispatch(ctx context.Context, pl plan) (*Dispatch, error) {
 			}(w)
 		}
 		wg.Wait()
-		close(watchDone)
+		stopWatch()
 
 		if d.abort != nil {
 			return nil, d.abort
@@ -479,7 +472,12 @@ func (c *Cluster) runWorker(ctx context.Context, d *dispatcher, addr string, pl 
 		dead, backpressure := c.runAttempt(ctx, d, client, at, pl, cache)
 		if backpressure {
 			if busy++; busy < backpressureLimit {
-				time.Sleep(c.cfg.Heartbeat / 8)
+				// Back off, but not past a cancelled dispatch: next
+				// returns nil at once when ctx is done.
+				select {
+				case <-ctx.Done():
+				case <-time.After(c.cfg.Heartbeat / 8):
+				}
 				continue
 			}
 			dead = true // saturated beyond patience: treat as lost
@@ -520,19 +518,29 @@ func (d *dispatcher) next(ctx context.Context, worker string, stealAfter time.Du
 			d.st.Stolen++
 			return d.newAttemptLocked(ctx, sh, worker)
 		}
+		// Nothing to claim or steal yet: wait for the next broadcast or,
+		// when a candidate exists but is not ripe, for the moment it
+		// ripens. No wake-up is lost: every state change (commit, requeue,
+		// worker death, abort, ctx cancellation) and the ripening timer
+		// broadcast while holding d.mu, and this worker holds d.mu from
+		// the checks above until Wait enrolls it and releases the lock.
+		var ripen *time.Timer
 		if wait > 0 {
-			// A candidate exists but has not straggled long enough yet;
-			// poll rather than wait — ripening is time, not an event.
-			d.mu.Unlock()
-			if wait > 50*time.Millisecond {
-				wait = 50 * time.Millisecond
-			}
-			time.Sleep(wait)
-			d.mu.Lock()
-			continue
+			ripen = time.AfterFunc(wait, d.broadcast)
 		}
 		d.cond.Wait()
+		if ripen != nil {
+			ripen.Stop()
+		}
 	}
+}
+
+// broadcast wakes every worker waiting in next. It takes d.mu first, so
+// the wake-up cannot fall between a waiter's last check and its Wait.
+func (d *dispatcher) broadcast() {
+	d.mu.Lock()
+	d.cond.Broadcast()
+	d.mu.Unlock()
 }
 
 // newAttemptLocked registers a new attempt of sh on worker. Callers hold

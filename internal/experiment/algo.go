@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/baseline"
 	"repro/internal/search"
@@ -13,8 +15,14 @@ import (
 // agent count. The antsim CLI (-budget 0) and the service's job-spec
 // normalization both use it, which is what keeps a daemon scenario job
 // and the equivalent CLI invocation describing identical computations.
+// The product saturates at math.MaxUint64 instead of wrapping, so a huge
+// D never yields a short (or zero, i.e. unlimited) budget.
 func DefaultMoveBudget(d int64) uint64 {
-	return uint64(d) * uint64(d) * 512
+	hi, sq := bits.Mul64(uint64(d), uint64(d))
+	if hi != 0 || sq > math.MaxUint64/512 {
+		return math.MaxUint64
+	}
+	return sq * 512
 }
 
 // AlgorithmNames lists the algorithm names BuildAlgorithm accepts, in

@@ -1,8 +1,12 @@
 package experiment
 
 import (
+	"math"
+	"math/big"
 	"strings"
 	"testing"
+
+	"repro/internal/search"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -115,5 +119,23 @@ func TestAllExperimentsQuick(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDefaultMoveBudgetSaturates: 512·D² must never come out below its
+// exact value — past uint64 it saturates instead of wrapping (a wrap can
+// even yield 0, which means an unlimited budget).
+func TestDefaultMoveBudgetSaturates(t *testing.T) {
+	maxU := new(big.Int).SetUint64(math.MaxUint64)
+	for _, d := range []int64{1, 2, 189812531, 189812532, 1 << 31, search.MaxDistance} {
+		exact := new(big.Int).Mul(big.NewInt(d), big.NewInt(d))
+		exact.Mul(exact, big.NewInt(512))
+		want := exact
+		if exact.Cmp(maxU) > 0 {
+			want = maxU
+		}
+		if got := DefaultMoveBudget(d); got != want.Uint64() {
+			t.Errorf("DefaultMoveBudget(%d) = %d, want %s (exact %s)", d, got, want, exact)
+		}
 	}
 }
