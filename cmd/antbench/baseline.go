@@ -13,6 +13,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/lowerbound"
 	"repro/internal/rng"
+	"repro/internal/search"
 	"repro/internal/sim"
 )
 
@@ -126,6 +127,26 @@ func measureBaseline(parent string) (Baseline, error) {
 			SparseVisits: true,
 			Workers:      1,
 		}, nil, seed); err != nil {
+			panic(err)
+		}
+	})
+
+	// The asynchronous engine: Algorithm 1 (ℓ = 1) with 4 agents against
+	// the corner target at D = 32 on one worker, under E1's budget — the
+	// directed walks that dominate the search workload.
+	nonUniform, err := search.NonUniformFactory(32, 1)
+	if err != nil {
+		return Baseline{}, err
+	}
+	kernels["e1_nonuniform"] = measure(1, minDur, func() {
+		seed++
+		if _, err := sim.Run(sim.Config{
+			NumAgents:  4,
+			Target:     grid.Point{X: 32, Y: 32},
+			HasTarget:  true,
+			MoveBudget: 32 * 32 * 512,
+			Workers:    1,
+		}, nonUniform, rng.New(seed)); err != nil {
 			panic(err)
 		}
 	})

@@ -12,7 +12,7 @@ import (
 // allKernels is every kernel a snapshot must report (tracks measureBaseline).
 var allKernels = []string{
 	"compiled_next", "walker_step", "dense_walker_step",
-	"s1_coverage_curve", "e6_coverage", "sparse_world_step",
+	"s1_coverage_curve", "e6_coverage", "sparse_world_step", "e1_nonuniform",
 }
 
 func TestRunBaseline(t *testing.T) {

@@ -51,7 +51,7 @@ func run(args []string, out io.Writer) error {
 	cliutil.SetUsage(fs, "Regenerates the reproduction tables E1–E8, AB1–AB4 and S1–S3 (-quick, -csv, -out DIR); -baseline/-snapshot write kernel perf snapshots (the BENCH_*.json series), -compare gates against one, -sentinel control-charts the whole series",
 		"antbench -quick",
 		"antbench -run E1,E5 -csv",
-		"antbench -snapshot BENCH_candidate.json -parent BENCH_sparse_soa.json",
+		"antbench -snapshot BENCH_candidate.json -parent BENCH_runlength.json",
 		"antbench -sentinel .")
 	if ok, err := cliutil.Parse(fs, args); !ok {
 		return err // nil after -h: usage already printed, clean exit

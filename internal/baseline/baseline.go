@@ -76,34 +76,26 @@ func SpiralFactory() sim.Factory {
 
 // Run implements sim.Program.
 func (Spiral) Run(env *sim.Env) error {
-	err := spiralFrom(env, -1)
-	if errors.Is(err, sim.ErrBudget) {
-		return nil
-	}
-	return err
+	spiralFrom(env, -1)
+	return nil
 }
 
 // spiralFrom walks a square spiral from the current position, stopping when
 // the environment is done, when the budget runs out, or after maxMoves
 // moves (maxMoves < 0 means unbounded).
-func spiralFrom(env *sim.Env, maxMoves int64) error {
+func spiralFrom(env *sim.Env, maxMoves int64) {
 	dirs := [4]grid.Direction{grid.Right, grid.Up, grid.Left, grid.Down}
-	var done int64
-	for leg := int64(1); ; leg++ {
-		for rep := 0; rep < 2; rep++ { // two legs per length: e.g. right then up
-			d := dirs[int(2*(leg-1)+int64(rep))%4]
-			for s := int64(0); s < leg; s++ {
-				if env.Done() {
-					return nil
-				}
-				if maxMoves >= 0 && done >= maxMoves {
-					return nil
-				}
-				if err := env.Move(d); err != nil {
-					return err
-				}
-				done++
+	start := env.Moves()
+	for leg := uint64(1); ; leg++ {
+		for rep := uint64(0); rep < 2; rep++ { // two legs per length: e.g. right then up
+			n := leg
+			if maxMoves >= 0 {
+				n = min(n, uint64(maxMoves)-(env.Moves()-start))
 			}
+			if n == 0 || env.Done() {
+				return
+			}
+			env.Advance(dirs[(2*(leg-1)+rep)%4], n)
 		}
 	}
 }
@@ -169,21 +161,11 @@ func (p *Feinerman) Run(env *sim.Env) error {
 				X: src.Intn(2*di+1) - di,
 				Y: src.Intn(2*di+1) - di,
 			}
-			if err := walkTo(env, dest); err != nil {
-				if errors.Is(err, sim.ErrBudget) {
-					return nil
-				}
-				return err
-			}
+			walkTo(env, dest)
 			if env.Done() {
 				return nil
 			}
-			if err := spiralFrom(env, patch); err != nil {
-				if errors.Is(err, sim.ErrBudget) {
-					return nil
-				}
-				return err
-			}
+			spiralFrom(env, patch)
 			if env.Done() {
 				return nil
 			}
@@ -215,31 +197,24 @@ func (p *Feinerman) AuditForDistance(d int64) search.Audit {
 }
 
 // walkTo moves the agent from its current position to dest along an L-path
-// (x first, then y).
-func walkTo(env *sim.Env, dest grid.Point) error {
-	for env.Pos().X != dest.X {
-		d := grid.Right
-		if env.Pos().X > dest.X {
-			d = grid.Left
-		}
-		if err := env.Move(d); err != nil {
-			return err
-		}
-		if env.Done() {
-			return nil
-		}
-	}
-	for env.Pos().Y != dest.Y {
-		d := grid.Up
-		if env.Pos().Y > dest.Y {
-			d = grid.Down
-		}
-		if err := env.Move(d); err != nil {
-			return err
+// (x first, then y), stopping early when the agent becomes done. Each leg
+// is re-aimed after its Advance, since a world may block some of its moves.
+func walkTo(env *sim.Env, dest grid.Point) {
+	for {
+		switch off := dest.Sub(env.Pos()); {
+		case off.X > 0:
+			env.Advance(grid.Right, uint64(off.X))
+		case off.X < 0:
+			env.Advance(grid.Left, uint64(-off.X))
+		case off.Y > 0:
+			env.Advance(grid.Up, uint64(off.Y))
+		case off.Y < 0:
+			env.Advance(grid.Down, uint64(-off.Y))
+		default:
+			return
 		}
 		if env.Done() {
-			return nil
+			return
 		}
 	}
-	return nil
 }

@@ -151,9 +151,7 @@ func TestFeinermanAuditIsLogD(t *testing.T) {
 func TestWalkTo(t *testing.T) {
 	env := sim.NewEnv(sim.EnvConfig{Src: rng.New(1)})
 	dest := grid.Point{X: -3, Y: 5}
-	if err := walkTo(env, dest); err != nil {
-		t.Fatal(err)
-	}
+	walkTo(env, dest)
 	if env.Pos() != dest {
 		t.Errorf("walkTo ended at %v, want %v", env.Pos(), dest)
 	}
@@ -165,13 +163,94 @@ func TestWalkTo(t *testing.T) {
 func TestWalkToFindsTargetOnPath(t *testing.T) {
 	env := sim.NewEnv(sim.EnvConfig{
 		Target: grid.Point{X: 2, Y: 0}, HasTarget: true, Src: rng.New(1)})
-	if err := walkTo(env, grid.Point{X: 5, Y: 0}); err != nil {
-		t.Fatal(err)
-	}
+	walkTo(env, grid.Point{X: 5, Y: 0})
 	if !env.Found() {
 		t.Error("walkTo crossed the target without finding it")
 	}
 	if env.Moves() != 2 {
 		t.Errorf("walkTo continued after finding: %d moves", env.Moves())
+	}
+}
+
+// stepwiseWalkTo and stepwiseSpiralFrom are walkTo and spiralFrom as
+// per-move loops; the Advance-based versions must match them move for move.
+func stepwiseWalkTo(env *sim.Env, dest grid.Point) {
+	for env.Pos().X != dest.X {
+		d := grid.Right
+		if env.Pos().X > dest.X {
+			d = grid.Left
+		}
+		if env.Move(d) != nil || env.Done() {
+			return
+		}
+	}
+	for env.Pos().Y != dest.Y {
+		d := grid.Up
+		if env.Pos().Y > dest.Y {
+			d = grid.Down
+		}
+		if env.Move(d) != nil || env.Done() {
+			return
+		}
+	}
+}
+
+func stepwiseSpiralFrom(env *sim.Env, maxMoves int64) {
+	dirs := [4]grid.Direction{grid.Right, grid.Up, grid.Left, grid.Down}
+	var done int64
+	for leg := int64(1); ; leg++ {
+		for rep := 0; rep < 2; rep++ {
+			d := dirs[int(2*(leg-1)+int64(rep))%4]
+			for s := int64(0); s < leg; s++ {
+				if env.Done() || (maxMoves >= 0 && done >= maxMoves) {
+					return
+				}
+				if env.Move(d) != nil {
+					return
+				}
+				done++
+			}
+		}
+	}
+}
+
+func TestWalkToAndSpiralMatchStepwise(t *testing.T) {
+	worlds := map[string]sim.World{
+		"open plane": nil,
+		"quadrant":   sim.Quadrant{},
+		"obstacles":  sim.NewObstacles(grid.NewRect(grid.Point{X: 2, Y: -1}, grid.Point{X: 2, Y: 3})),
+	}
+	targets := [][]grid.Point{nil, {{X: 4, Y: 0}}, {{X: -3, Y: 5}, {X: 1, Y: 1}}}
+	dests := []grid.Point{{X: 5, Y: 0}, {X: -3, Y: 5}, {X: 4, Y: -6}, {X: 0, Y: 0}}
+	for name, world := range worlds {
+		for ti, tg := range targets {
+			for _, budget := range []uint64{0, 3, 17} {
+				for _, dest := range dests {
+					for _, maxMoves := range []int64{-1, 0, 5, 40} {
+						if world != nil && budget == 0 {
+							continue // a blocked leg would bump the wall forever
+						}
+						cfg := sim.EnvConfig{Targets: tg, World: world, MoveBudget: budget, Src: rng.New(1)}
+						if budget == 0 && maxMoves < 0 && len(tg) == 0 {
+							cfg.MoveBudget = 200 // an unbounded spiral never stops
+						}
+						ref, got := sim.NewEnv(cfg), sim.NewEnv(cfg)
+						stepwiseWalkTo(ref, dest)
+						walkTo(got, dest)
+						if !ref.Done() {
+							stepwiseSpiralFrom(ref, maxMoves)
+						}
+						if !got.Done() {
+							spiralFrom(got, maxMoves)
+						}
+						if ref.Pos() != got.Pos() || ref.Moves() != got.Moves() || ref.Found() != got.Found() || ref.FoundAt() != got.FoundAt() {
+							t.Fatalf("%s targets#%d budget %d dest %v max %d: got pos %v moves %d found %v@%d, stepwise %v %d %v@%d",
+								name, ti, budget, dest, maxMoves, got.Pos(), got.Moves(), got.Found(), got.FoundAt(),
+								ref.Pos(), ref.Moves(), ref.Found(), ref.FoundAt())
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -85,21 +85,43 @@ func (c *Coin) Composite(k uint) bool {
 	return true
 }
 
-// Geometric draws the number of consecutive heads shown before the first
-// tails of the composite coin(k, ℓ) — the length of one directed walk of
-// Algorithm 3. The result is geometrically distributed with success
-// probability 1/2^{kℓ}, so its mean is 2^{kℓ} − 1. The draw is capped at
-// limit to keep adversarial parameterizations from spinning forever; a
-// negative limit means no cap.
-func (c *Coin) Geometric(k uint, limit int64) int64 {
-	var n int64
-	for !c.Composite(k) {
-		n++
-		if limit >= 0 && n >= limit {
-			return n
-		}
+// HeadsRun flips the composite coin(k, ℓ) until it shows tails or has
+// shown max heads, and returns the number of heads and whether the run
+// ended on tails. It is a run of Composite(k) calls in one loop: it draws
+// exactly the same words and counts exactly the same flips, so a caller
+// may split a directed walk (Algorithm 3) into runs of any lengths without
+// changing the stream. max == 0 flips nothing; k == 0 and ℓ == 0 show
+// tails at once, after the k base flips Composite would count.
+func (c *Coin) HeadsRun(k uint, max uint64) (n uint64, tails bool) {
+	switch {
+	case max == 0:
+		return 0, false
+	case k == 0 || c.ell == 0:
+		c.flips += uint64(k)
+		return 0, true
 	}
-	return n
+	// The state lives in a local for the loop: one base flip per word, a
+	// composite heads at the first base heads, tails after k base tails.
+	src, mask := *c.src, c.mask
+	flips := c.flips
+	for n < max {
+		i := uint(1)
+		for src.Uint64()&mask == 0 {
+			if i == k {
+				tails = true
+				break
+			}
+			i++
+		}
+		flips += uint64(i)
+		if tails {
+			break
+		}
+		n++
+	}
+	*c.src = src
+	c.flips = flips
+	return n, tails
 }
 
 // Fair reports a fair coin flip (probability 1/2 each way), drawn from the

@@ -91,7 +91,7 @@ func TestCompositeZeroK(t *testing.T) {
 }
 
 func TestGeometricMean(t *testing.T) {
-	// Geometric(k, ℓ) has mean 2^{kℓ} - 1.
+	// An uncapped heads run of coin(k, ℓ) is geometric with mean 2^{kℓ} - 1.
 	tests := []struct {
 		ell, k uint
 	}{
@@ -102,14 +102,18 @@ func TestGeometricMean(t *testing.T) {
 		const draws = 50000
 		var sum float64
 		for i := 0; i < draws; i++ {
-			sum += float64(c.Geometric(tt.k, -1))
+			n, tails := c.HeadsRun(tt.k, math.MaxUint64)
+			if !tails {
+				t.Fatalf("uncapped HeadsRun(k=%d) ended without tails after %d heads", tt.k, n)
+			}
+			sum += float64(n)
 		}
 		mean := sum / draws
 		want := math.Pow(2, float64(tt.k*tt.ell)) - 1
 		// Std of geometric ~ 2^{kℓ}; mean of draws has std want/sqrt(draws).
 		tol := 6 * math.Pow(2, float64(tt.k*tt.ell)) / math.Sqrt(draws)
 		if math.Abs(mean-want) > tol {
-			t.Errorf("Geometric(k=%d, ℓ=%d) mean = %v, want %v ± %v",
+			t.Errorf("HeadsRun(k=%d, ℓ=%d) mean = %v, want %v ± %v",
 				tt.k, tt.ell, mean, want, tol)
 		}
 	}
@@ -119,9 +123,68 @@ func TestGeometricLimit(t *testing.T) {
 	c := MustCoin(MaxEll, New(2)) // tails almost never: unbounded walk without cap
 	const limit = 1000
 	for i := 0; i < 10; i++ {
-		if got := c.Geometric(1, limit); got > limit {
-			t.Fatalf("Geometric exceeded limit: %d > %d", got, limit)
+		if n, tails := c.HeadsRun(1, limit); n != limit || tails {
+			t.Fatalf("HeadsRun(1, %d) = (%d, %v), want the cap (%d, false)", limit, n, tails, limit)
 		}
+	}
+}
+
+// compositeRun is HeadsRun's reference: the same run as a loop of
+// Composite calls.
+func compositeRun(c *Coin, k uint, max uint64) (n uint64, tails bool) {
+	for n < max {
+		if c.Composite(k) {
+			return n, true
+		}
+		n++
+	}
+	return n, false
+}
+
+func TestHeadsRunMatchesComposite(t *testing.T) {
+	for _, ell := range []uint{0, 1, 2, 5, MaxEll} {
+		for k := uint(0); k <= 8; k++ {
+			for _, max := range []uint64{0, 1, 2, 7, 1000, math.MaxUint64} {
+				if max == math.MaxUint64 && k*ell > 12 {
+					continue // tails has probability 2^-kℓ: an uncapped run takes too long
+				}
+				seed := uint64(ell)<<32 | uint64(k)<<16 | max&0xffff
+				got, want := MustCoin(ell, New(seed)), MustCoin(ell, New(seed))
+				for rep := 0; rep < 20; rep++ {
+					gn, gt := got.HeadsRun(k, max)
+					wn, wt := compositeRun(want, k, max)
+					if gn != wn || gt != wt {
+						t.Fatalf("ℓ=%d k=%d max=%d rep %d: HeadsRun = (%d, %v), Composite loop = (%d, %v)",
+							ell, k, max, rep, gn, gt, wn, wt)
+					}
+					if got.Flips() != want.Flips() {
+						t.Fatalf("ℓ=%d k=%d max=%d rep %d: flips %d, want %d",
+							ell, k, max, rep, got.Flips(), want.Flips())
+					}
+				}
+				if g, w := got.src.Uint64(), want.src.Uint64(); g != w {
+					t.Errorf("ℓ=%d k=%d max=%d: source state diverged (next word %#x, want %#x)", ell, k, max, g, w)
+				}
+			}
+		}
+	}
+}
+
+func TestHeadsRunEdgeCases(t *testing.T) {
+	c := MustCoin(3, New(5))
+	if n, tails := c.HeadsRun(4, 0); n != 0 || tails || c.Flips() != 0 {
+		t.Errorf("max 0: (%d, %v) after %d flips, want (0, false) after none", n, tails, c.Flips())
+	}
+	if n, tails := c.HeadsRun(0, 10); n != 0 || !tails || c.Flips() != 0 {
+		t.Errorf("k 0: (%d, %v) after %d flips, want (0, true) after none", n, tails, c.Flips())
+	}
+	z := MustCoin(0, New(5))
+	before := *z.src
+	if n, tails := z.HeadsRun(6, 10); n != 0 || !tails || z.Flips() != 6 {
+		t.Errorf("ℓ 0: (%d, %v) after %d flips, want (0, true) after 6", n, tails, z.Flips())
+	}
+	if *z.src != before {
+		t.Error("ℓ 0 coin drew from its source")
 	}
 }
 

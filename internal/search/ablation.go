@@ -1,7 +1,6 @@
 package search
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 
@@ -80,7 +79,9 @@ func (p *NonUniformFixed) Audit() Audit {
 	}
 }
 
-// Run executes iterations with exact uniformly-drawn walk lengths.
+// Run executes iterations with exact uniformly-drawn walk lengths. Each
+// walk moves exactly its drawn length, stopping early on a found target or
+// an exhausted budget.
 func (p *NonUniformFixed) Run(env *sim.Env) error {
 	src := env.Src()
 	span := int64(1) << p.m
@@ -89,12 +90,7 @@ func (p *NonUniformFixed) Run(env *sim.Env) error {
 		if src.Bool() {
 			vert = grid.Up
 		}
-		if err := fixedWalk(env, vert, src.Intn(span)); err != nil {
-			if errors.Is(err, sim.ErrBudget) {
-				return nil
-			}
-			return err
-		}
+		env.Advance(vert, uint64(src.Intn(span)))
 		if env.Done() {
 			return nil
 		}
@@ -102,30 +98,11 @@ func (p *NonUniformFixed) Run(env *sim.Env) error {
 		if src.Bool() {
 			horiz = grid.Right
 		}
-		if err := fixedWalk(env, horiz, src.Intn(span)); err != nil {
-			if errors.Is(err, sim.ErrBudget) {
-				return nil
-			}
-			return err
-		}
+		env.Advance(horiz, uint64(src.Intn(span)))
 		if env.Done() {
 			return nil
 		}
 		env.ReturnToOrigin()
-	}
-	return nil
-}
-
-// fixedWalk moves exactly length steps in direction dir, stopping early on
-// a found target or exhausted budget.
-func fixedWalk(env *sim.Env, dir grid.Direction, length int64) error {
-	for i := int64(0); i < length; i++ {
-		if err := env.Move(dir); err != nil {
-			return err
-		}
-		if env.Done() {
-			return nil
-		}
 	}
 	return nil
 }

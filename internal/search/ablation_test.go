@@ -103,13 +103,12 @@ func TestUniformPhaseReturnChainsProbes(t *testing.T) {
 }
 
 func TestFixedWalkExact(t *testing.T) {
+	// The ablation's exact-length walk is one Advance of the drawn length.
 	src := simEnvSrc(t)
 	env := sim.NewEnv(sim.EnvConfig{Src: src})
-	if err := fixedWalk(env, grid.Up, 7); err != nil {
-		t.Fatal(err)
-	}
+	env.Advance(grid.Up, 7)
 	if env.Pos() != (grid.Point{X: 0, Y: 7}) {
-		t.Errorf("fixedWalk ended at %v, want (0,7)", env.Pos())
+		t.Errorf("fixed walk ended at %v, want (0,7)", env.Pos())
 	}
 	if env.Moves() != 7 {
 		t.Errorf("moves = %d, want 7", env.Moves())
@@ -120,9 +119,7 @@ func TestFixedWalkStopsOnTarget(t *testing.T) {
 	src := simEnvSrc(t)
 	env := sim.NewEnv(sim.EnvConfig{
 		Target: grid.Point{X: 3, Y: 0}, HasTarget: true, Src: src})
-	if err := fixedWalk(env, grid.Right, 10); err != nil {
-		t.Fatal(err)
-	}
+	env.Advance(grid.Right, 10)
 	if !env.Found() || env.Moves() != 3 {
 		t.Errorf("found=%v moves=%d, want found at 3", env.Found(), env.Moves())
 	}

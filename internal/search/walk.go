@@ -1,7 +1,6 @@
 package search
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/grid"
@@ -18,22 +17,36 @@ import (
 // Walk stops early (returning nil) when the environment reports done, so a
 // found target or exhausted budget terminates the enclosing algorithm
 // promptly.
+//
+// The walk runs segment by segment: env.Straight bounds how far it can go
+// before it could become done, coin.HeadsRun draws at most that many heads
+// in one loop, and env.Advance applies them at once. Both split points
+// fall exactly where the per-step loop (flip, move, check) would look, so
+// the coin draws and the agent's trajectory are the same as taking one
+// step per heads. Where Straight allows only one move (worlds, schedules,
+// faults, hooks, recorded paths, indexed targets) Walk takes that loop
+// itself, which spares the run machinery's calls on every move.
 func Walk(env *sim.Env, coin *rng.Coin, k uint, dir grid.Direction) error {
 	if !dir.Valid() {
 		return fmt.Errorf("search: invalid walk direction %v", dir)
 	}
-	for !coin.Composite(k) { // composite heads: keep walking
-		if err := env.Move(dir); err != nil {
-			if errors.Is(err, sim.ErrBudget) {
+	for {
+		run := env.Straight(dir)
+		if run == 1 { // Composite, Move, Done: HeadsRun and Advance with n = 1
+			if coin.Composite(k) {
 				return nil
 			}
-			return err
+			if env.Move(dir) != nil || env.Done() {
+				return nil
+			}
+			continue
 		}
-		if env.Done() {
+		n, tails := coin.HeadsRun(k, run)
+		env.Advance(dir, n)
+		if tails || env.Done() {
 			return nil
 		}
 	}
-	return nil
 }
 
 // BoxSearch performs the paper's Algorithm 4, search(k, ℓ): a vertical walk

@@ -14,6 +14,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/grid"
 	"repro/internal/rng"
@@ -62,6 +63,12 @@ type Env struct {
 	visited *grid.VisitSet
 	path    []grid.Point // recorded trajectory, nil unless requested
 	hook    EnvHook
+
+	// stepwise is set when some move can have an effect Straight cannot
+	// predict from the position alone (a world, a schedule, faults, a
+	// hook, a recorded path or an indexed target set), so Advance must
+	// take its moves one at a time.
+	stepwise bool
 }
 
 // EnvConfig configures an agent environment.
@@ -144,9 +151,16 @@ func NewEnv(cfg EnvConfig) *Env {
 // worker pool calls it once per agent so the engine's steady state is
 // allocation-free.
 func (e *Env) Reset(cfg EnvConfig) {
+	e.reset(cfg, mergeTargets(cfg.Target, cfg.HasTarget, cfg.Targets))
+}
+
+// reset is Reset with the static target set already merged from cfg, so
+// an engine running many agents against one configuration merges (and
+// indexes) it once per run rather than once per agent.
+func (e *Env) reset(cfg EnvConfig, targets TargetSet) {
 	path := e.path
 	*e = Env{
-		targets:     mergeTargets(cfg.Target, cfg.HasTarget, cfg.Targets),
+		targets:     targets,
 		world:       cfg.World,
 		budget:      cfg.MoveBudget,
 		src:         cfg.Src,
@@ -164,6 +178,8 @@ func (e *Env) Reset(cfg EnvConfig) {
 	if cfg.RecordPath {
 		e.path = append(path[:0], grid.Origin)
 	}
+	e.stepwise = e.world != nil || e.dynWorld != nil || e.dynTargets != nil ||
+		e.crashThresh > 0 || e.hook != nil || e.path != nil || e.targets.idx != nil
 	// The untils start at zero, so this first sync fetches the schedules'
 	// state for the agent's first acting round (StartDelaySteps+1).
 	e.syncDynamics()
@@ -306,6 +322,71 @@ func (e *Env) Move(d grid.Direction) error {
 		}
 	}
 	return nil
+}
+
+// Straight returns how many moves in direction d Advance may apply at
+// once: no cell before the last of them can make the agent done. That is
+// the smaller of the remaining budget and the distance along the ray to
+// the nearest target ahead, or MaxUint64 when neither applies. It returns 1
+// whenever each move needs its own checks — a world, a dynamic schedule,
+// crash faults, a hook, a recorded path, an indexed target set — and when
+// the agent is already done. It consumes no randomness, so a caller may
+// size its random draws by it without changing its stream.
+func (e *Env) Straight(d grid.Direction) uint64 {
+	if e.stepwise || e.found || e.crashed {
+		return 1
+	}
+	return e.straight(d)
+}
+
+// straight is Straight's open-plane bound, kept out of line so the checks
+// above inline into every caller. An exhausted budget gives 1 as well.
+func (e *Env) straight(d grid.Direction) uint64 {
+	run := uint64(math.MaxUint64)
+	if e.budget > 0 {
+		run = max(e.budget-e.moves, 1)
+	}
+	return min(run, e.targets.ahead(e.pos, d))
+}
+
+// Advance moves the agent n cells in direction d. It behaves exactly like
+// n successive Move(d) calls, each followed by a Done check: it stops at
+// the first move that finds a target, crashes or exhausts the budget. On
+// the open plane a stretch Straight vouches for costs O(1) (one loop over
+// its cells when visits are tracked); otherwise each move goes through
+// Move.
+func (e *Env) Advance(d grid.Direction, n uint64) {
+	for n > 0 {
+		m := min(n, e.Straight(d))
+		if m == 1 {
+			if e.Move(d) != nil || e.Done() {
+				return
+			}
+			n--
+			continue
+		}
+		delta := d.Delta()
+		if e.visited != nil {
+			p := e.pos
+			for i := uint64(0); i < m; i++ {
+				p = p.Add(delta)
+				e.visited.Visit(p)
+			}
+		}
+		e.pos.X += delta.X * int64(m)
+		e.pos.Y += delta.Y * int64(m)
+		e.moves += m
+		e.steps += m
+		// Straight vouched for every cell before the last one.
+		if e.targets.Hit(e.pos) {
+			e.found = true
+			e.foundAt = e.moves
+		}
+		if e.Done() {
+			return
+		}
+		n -= m
+	}
 }
 
 // ReturnToOrigin teleports the agent to the origin. Per the paper's model

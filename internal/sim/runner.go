@@ -127,7 +127,10 @@ func Run(cfg Config, factory Factory, root *rng.Source) (*Result, error) {
 	if err := validateDynamics(cfg.World, cfg.DynamicWorld, hasStatic, cfg.DynamicTargets); err != nil {
 		return nil, err
 	}
-	if err := validateWorld(cfg.World, mergeTargets(cfg.Target, cfg.HasTarget, cfg.Targets).Points()); err != nil {
+	// One merged (and, above the threshold, indexed) set serves every
+	// agent: TargetSet lookups never mutate, so workers share it.
+	targets := mergeTargets(cfg.Target, cfg.HasTarget, cfg.Targets)
+	if err := validateWorld(cfg.World, targets.Points()); err != nil {
 		return nil, err
 	}
 	if err := cfg.Faults.Validate(); err != nil {
@@ -180,9 +183,6 @@ func Run(cfg Config, factory Factory, root *rng.Source) (*Result, error) {
 				}
 				root.DeriveInto(uint64(id), &src)
 				ec := EnvConfig{
-					Target:         cfg.Target,
-					HasTarget:      cfg.HasTarget,
-					Targets:        cfg.Targets,
 					World:          cfg.World,
 					DynamicWorld:   cfg.DynamicWorld,
 					DynamicTargets: cfg.DynamicTargets,
@@ -197,7 +197,7 @@ func Run(cfg Config, factory Factory, root *rng.Source) (*Result, error) {
 					ec.FaultSrc = &faultSrc
 					ec.StartDelaySteps = cfg.Faults.startDelay(&faultSrc)
 				}
-				env.Reset(ec)
+				env.reset(ec, targets)
 				if err := factory().Run(&env); err != nil && !errors.Is(err, ErrBudget) {
 					errOnce.Do(func() { runErr = fmt.Errorf("sim: agent %d: %w", id, err) })
 					stop.Store(true)

@@ -303,6 +303,26 @@ func (t TargetSet) Nearest(p grid.Point) (q grid.Point, dist int64, ok bool) {
 	return q, dist, true
 }
 
+// ahead returns the distance from p to the nearest target on the open ray
+// from p in direction d, or MaxUint64 when none lies on it. It scans the
+// points linearly; callers use it only for unindexed sets.
+func (t TargetSet) ahead(p grid.Point, d grid.Direction) uint64 {
+	dist := uint64(math.MaxUint64)
+	delta := d.Delta()
+	for _, q := range t.pts {
+		r := q.Sub(p)
+		// Along the ray r = s·delta for some s ≥ 1: the cross term vanishes
+		// and the projection is positive.
+		if r.X*delta.Y != r.Y*delta.X {
+			continue
+		}
+		if s := r.X*delta.X + r.Y*delta.Y; s > 0 && uint64(s) < dist {
+			dist = uint64(s)
+		}
+	}
+	return dist
+}
+
 // Empty reports whether the set has no targets.
 func (t TargetSet) Empty() bool { return len(t.pts) == 0 }
 
