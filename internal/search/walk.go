@@ -23,25 +23,15 @@ import (
 // in one loop, and env.Advance applies them at once. Both split points
 // fall exactly where the per-step loop (flip, move, check) would look, so
 // the coin draws and the agent's trajectory are the same as taking one
-// step per heads. Where Straight allows only one move (worlds, schedules,
-// faults, hooks, recorded paths, indexed targets) Walk takes that loop
-// itself, which spares the run machinery's calls on every move.
+// step per heads. Where each move needs its own checks (worlds, schedules,
+// faults, hooks, recorded paths, indexed targets) Straight returns 1 and
+// the same loop takes one flip and one move at a time.
 func Walk(env *sim.Env, coin *rng.Coin, k uint, dir grid.Direction) error {
 	if !dir.Valid() {
 		return fmt.Errorf("search: invalid walk direction %v", dir)
 	}
 	for {
-		run := env.Straight(dir)
-		if run == 1 { // Composite, Move, Done: HeadsRun and Advance with n = 1
-			if coin.Composite(k) {
-				return nil
-			}
-			if env.Move(dir) != nil || env.Done() {
-				return nil
-			}
-			continue
-		}
-		n, tails := coin.HeadsRun(k, run)
+		n, tails := coin.HeadsRun(k, env.Straight(dir))
 		env.Advance(dir, n)
 		if tails || env.Done() {
 			return nil
