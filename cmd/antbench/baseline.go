@@ -151,6 +151,35 @@ func measureBaseline(parent string) (Baseline, error) {
 		}
 	})
 
+	// The rounds engine's hit kernel: Algorithm 1's automaton (D = 32),
+	// 256 agents on one worker, StopOnFound against fixed targets — the
+	// swarm benchmark's hit class. One op is one agent-round; the rounds
+	// stepped past a find are cost, not ops.
+	hitMachine, err := search.Algorithm1Machine(32)
+	if err != nil {
+		return Baseline{}, err
+	}
+	hitTargets := []grid.Point{{X: 32, Y: 0}, {X: -20, Y: 17}, {X: 5, Y: -29}, {X: -31, Y: -31}}
+	hitRuns := func() (agentRounds int) {
+		for i, target := range hitTargets {
+			res, err := sim.RunRounds(sim.RoundsConfig{
+				Machine:     hitMachine,
+				NumAgents:   256,
+				Rounds:      64 * 32 * 32,
+				Target:      target,
+				HasTarget:   true,
+				StopOnFound: true,
+				Workers:     1,
+			}, nil, uint64(i+1))
+			if err != nil {
+				panic(err)
+			}
+			agentRounds += 256 * int(res.RoundsRun)
+		}
+		return agentRounds
+	}
+	kernels["rounds_hit"] = measure(hitRuns(), minDur, func() { hitRuns() })
+
 	return Baseline{
 		SchemaVersion: baselineSchemaVersion,
 		Parent:        parent,

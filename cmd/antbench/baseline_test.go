@@ -13,6 +13,7 @@ import (
 var allKernels = []string{
 	"compiled_next", "walker_step", "dense_walker_step",
 	"s1_coverage_curve", "e6_coverage", "sparse_world_step", "e1_nonuniform",
+	"rounds_hit",
 }
 
 func TestRunBaseline(t *testing.T) {

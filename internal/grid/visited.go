@@ -139,24 +139,48 @@ func (v *VisitSet) visitSlow(p Point) bool {
 // VisitBatch marks every point in ps as visited, equivalent to calling
 // Visit on each point in order (minus the per-point return values). The
 // engines buffer a stripe's positions and flush them through this entry
-// point so the dense fast path runs with its window in registers and one
-// call per buffer instead of one per step.
+// point, so the whole batch runs with its state in locals: the dense
+// window for in-window points, and a spatial.Cursor holding the current
+// leaf tile for the sparse set and hybrid excursions. A run of visits to
+// one tile makes no call, and count/inBall are updated once per batch.
 func (v *VisitSet) VisitBatch(ps []Point) {
+	r := v.r
+	var cur spatial.Cursor
+	if v.ext != nil {
+		cur = v.ext.Cursor()
+	}
 	if v.dense == nil {
+		var inBall int64
 		for _, p := range ps {
-			v.visitSlow(p)
+			fresh, ok := cur.Visit(p.X, p.Y)
+			if !ok {
+				cur.Enter(p.X, p.Y)
+				fresh, _ = cur.Visit(p.X, p.Y)
+			}
+			if fresh && p.Norm() <= r {
+				inBall++
+			}
 		}
+		v.count += cur.Flush()
+		v.inBall += inBall
 		return
 	}
 	dense := v.dense
-	r := v.r
 	side := uint64(v.side)
 	var added int64
 	for _, p := range ps {
 		ux := uint64(p.X + r)
 		uy := uint64(p.Y + r)
 		if ux >= side || uy >= side {
-			v.visitSlow(p)
+			// Hybrid excursion: every ext point has norm > r.
+			if v.ext == nil {
+				v.ext = spatial.NewIndex()
+				cur = v.ext.Cursor()
+			}
+			if _, ok := cur.Visit(p.X, p.Y); !ok {
+				cur.Enter(p.X, p.Y)
+				cur.Visit(p.X, p.Y)
+			}
 			continue
 		}
 		idx := uy*side + ux
@@ -168,6 +192,9 @@ func (v *VisitSet) VisitBatch(ps []Point) {
 	}
 	v.count += added
 	v.inBall += added
+	if v.ext != nil {
+		v.count += cur.Flush()
+	}
 }
 
 // Contains reports whether p has been visited.

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/rng"
@@ -286,43 +287,110 @@ func TestNewVisitSetAutoSelectsSparse(t *testing.T) {
 }
 
 // TestVisitBatchMatchesVisit pins the engines' buffered entry point to the
-// per-point oracle in both backings, including window excursions and
-// duplicate points within one batch.
+// per-point oracle on dense sets (every point in the window), hybrid sets
+// (window excursions) and sparse sets: the same Count, CountInBall, Each
+// and Contains. The point streams mix random walks with duplicates inside
+// one batch, runs back and forth across a tile edge and long runs inside
+// one tile, cut into batches of varied length.
 func TestVisitBatchMatchesVisit(t *testing.T) {
-	src := rng.New(41)
-	for _, r := range []int64{0, 4, 64} {
-		for _, sparse := range []bool{false, true} {
-			mk := func() *VisitSet {
-				if sparse {
-					return NewSparseVisitSet(r)
-				}
-				return NewVisitSet(r)
-			}
-			batched, oracle := mk(), mk()
+	streams := map[string]func(src *rng.Source, r int64) []Point{
+		"walk": func(src *rng.Source, r int64) []Point {
 			p := Origin
-			var batch []Point
+			var ps []Point
 			for i := 0; i < 4000; i++ {
 				p = p.Move(Direction(1 + src.Intn(4)))
 				if src.Intn(200) == 0 { // excursion far outside the window
 					p = Point{X: p.X + 3*r + 7, Y: p.Y - 2*r - 5}
 				}
-				batch = append(batch, p)
-				oracle.Visit(p)
-				if len(batch) == 97 || i == 3999 {
-					batched.VisitBatch(batch)
-					batch = batch[:0]
+				ps = append(ps, p)
+				if src.Intn(8) == 0 {
+					ps = append(ps, p, ps[src.Intn(int64(len(ps)))]) // duplicates
 				}
 			}
-			if batched.Count() != oracle.Count() || batched.CountInBall() != oracle.CountInBall() {
-				t.Fatalf("r=%d sparse=%v: batch (%d,%d) vs oracle (%d,%d)",
-					r, sparse, batched.Count(), batched.CountInBall(),
-					oracle.Count(), oracle.CountInBall())
-			}
-			oracle.Each(func(q Point) {
-				if !batched.Contains(q) {
-					t.Fatalf("r=%d sparse=%v: batch missing %v", r, sparse, q)
+			return ps
+		},
+		"tile edge": func(src *rng.Source, r int64) []Point {
+			// Cells x = 31 and 32 lie in different 64-cell tiles (and so
+			// do -33 and -32); bounce across both edges on many rows.
+			var ps []Point
+			for y := int64(-70); y <= 70; y++ {
+				for i := 0; i < 20; i++ {
+					x := 31 + src.Intn(2)
+					if i%2 == 1 {
+						x = -33 + src.Intn(2)
+					}
+					ps = append(ps, Point{X: x, Y: y}, Point{X: x + 64*src.Intn(3), Y: y})
 				}
-			})
+			}
+			return ps
+		},
+		"one tile": func(src *rng.Source, r int64) []Point {
+			// A long run confined to one tile well outside small windows.
+			var ps []Point
+			for i := 0; i < 3000; i++ {
+				ps = append(ps, Point{X: 200 + src.Intn(60), Y: -300 + src.Intn(60)})
+			}
+			return ps
+		},
+	}
+	for name, stream := range streams {
+		for _, r := range []int64{0, 4, 64, 400} {
+			for _, mode := range []string{"dense", "hybrid", "sparse"} {
+				src := rng.New(uint64(r) + 41)
+				ps := stream(src, r)
+				mk := NewVisitSet
+				if mode == "sparse" {
+					mk = NewSparseVisitSet
+				}
+				if mode == "dense" {
+					// Keep only window points, so the set never spills.
+					in := ps[:0:0]
+					for _, p := range ps {
+						if p.Norm() <= r {
+							in = append(in, p)
+						}
+					}
+					ps = in
+				}
+				batched, oracle := mk(r), mk(r)
+				for len(ps) > 0 {
+					n := min(int(1+src.Intn(300)), len(ps))
+					for _, p := range ps[:n] {
+						oracle.Visit(p)
+					}
+					batched.VisitBatch(ps[:n])
+					ps = ps[n:]
+				}
+				where := fmt.Sprintf("%s r=%d %s", name, r, mode)
+				if (mode == "sparse") != batched.Sparse() || mode == "dense" && batched.ext != nil {
+					t.Fatalf("%s: wrong backing (sparse=%v, ext=%v)", where, batched.Sparse(), batched.ext != nil)
+				}
+				if batched.Count() != oracle.Count() || batched.CountInBall() != oracle.CountInBall() {
+					t.Fatalf("%s: batch (%d,%d) vs oracle (%d,%d)", where,
+						batched.Count(), batched.CountInBall(), oracle.Count(), oracle.CountInBall())
+				}
+				if batched.ext != nil && batched.ext.Count() != oracle.ext.Count() {
+					t.Fatalf("%s: index count %d, oracle %d", where, batched.ext.Count(), oracle.ext.Count())
+				}
+				seen := map[Point]bool{}
+				batched.Each(func(q Point) { seen[q] = true })
+				n := 0
+				oracle.Each(func(q Point) {
+					n++
+					if !seen[q] || !batched.Contains(q) {
+						t.Fatalf("%s: batch missing %v", where, q)
+					}
+				})
+				if len(seen) != n {
+					t.Fatalf("%s: batch Each yielded %d points, oracle %d", where, len(seen), n)
+				}
+				for i := 0; i < 500; i++ {
+					q := Point{X: src.Intn(1001) - 500, Y: src.Intn(1001) - 500}
+					if batched.Contains(q) != oracle.Contains(q) {
+						t.Fatalf("%s: Contains(%v) disagrees", where, q)
+					}
+				}
+			}
 		}
 	}
 }

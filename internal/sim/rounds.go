@@ -8,6 +8,7 @@ import (
 	"repro/internal/automata"
 	"repro/internal/grid"
 	"repro/internal/rng"
+	"repro/internal/spatial"
 )
 
 // This file implements the synchronous execution model of the paper's
@@ -33,10 +34,13 @@ import (
 // The trajectories are bit-identical to round-major order — each agent
 // consumes the same stream in the same order — and the first-found round is
 // the minimum over agents of their personal first-hit round, which segments
-// compute exactly. A run with an observer or StopOnFound degenerates to
-// one-round segments, which is precisely the old behaviour. Visit stripes
-// are merged into the master set by word-OR only at checkpoints and at the
-// end of the run.
+// compute exactly. A run with an observer degenerates to one-round
+// segments, which is precisely the old behaviour, and so does a
+// StopOnFound run whose agent states stay observable (tracking, faults).
+// A StopOnFound run that exposes only the first-found round runs
+// speculative segments that grow with the round (specSegment). Visit
+// stripes are merged into the master set by word-OR only at checkpoints
+// and at the end of the run.
 
 // AgentState is one agent's snapshot at the end of a round.
 type AgentState struct {
@@ -132,7 +136,12 @@ type RoundsResult struct {
 	// FoundRound is the 1-based round at which the target was first
 	// reached (0 when not found) — the metric of Theorem 4.1.
 	FoundRound uint64
-	// RoundsRun is the number of rounds actually executed.
+	// RoundsRun is the length of the run: the horizon (Rounds), or with
+	// StopOnFound the round the run stopped at — FoundRound when the
+	// target was found during the run, round 1 for an origin target. It
+	// counts rounds of the model's execution, not rounds the engine
+	// stepped: a speculative StopOnFound run may step agents a few rounds
+	// past the find (see DESIGN.md §3).
 	RoundsRun uint64
 	// Crashed is the number of agents the fault model crashed.
 	Crashed int
@@ -203,6 +212,11 @@ type swarm struct {
 	// the main goroutine before the barrier releases the workers.
 	segR0, segR1 uint64
 
+	// spec marks a speculative StopOnFound run (see specSegment): only
+	// the first-found round is observable, so the kernels may stop each
+	// agent at its stripe's earliest find so far.
+	spec bool
+
 	// General-path state (world / multi-target / fault scenarios).
 	general   bool
 	world     World
@@ -265,7 +279,7 @@ func (s *swarm) syncDynamics(round uint64) {
 	}
 }
 
-func newSwarm(cfg RoundsConfig, seed uint64) *swarm {
+func newSwarm(cfg RoundsConfig, targets TargetSet, seed uint64) *swarm {
 	n := cfg.NumAgents
 	s := &swarm{
 		srcs:      make([]rng.Source, n),
@@ -303,7 +317,7 @@ func newSwarm(cfg RoundsConfig, seed uint64) *swarm {
 		if s.world == nil {
 			s.world = OpenPlane{}
 		}
-		s.targets = mergeTargets(cfg.Target, cfg.HasTarget, cfg.Targets)
+		s.targets = targets
 		s.dynWorld = cfg.DynamicWorld
 		s.dynTargets = cfg.DynamicTargets
 		s.crashed = make([]bool, n)
@@ -372,18 +386,35 @@ func (s *swarm) segment(lo, hi int, stripe *grid.VisitSet) uint64 {
 	return s.segmentRange(lo, hi, stripe)
 }
 
-// visitBatchLen is the engine's position-buffer size: 256 points (4 KB per
-// worker frame) amortizes the VisitBatch call without leaving L1.
+// visitBatchLen is the kernels' visit-buffer size: 256 points (4 KB per
+// worker frame) amortizes the VisitBatch call without leaving L1. Both
+// kernels record visits only through this buffer, flushed when full and
+// at the end of the segment; a stripe is a set, so one buffer may span
+// agents.
 const visitBatchLen = 256
 
+// agentEnd is the last round agent work must cover in a segment ending at
+// r1, given the stripe's earliest find so far. A speculative segment only
+// needs to learn whether the remaining agents find the target before
+// first: the run ends with this segment either way, and nothing else of
+// theirs is observable.
+func (s *swarm) agentEnd(r1, first uint64) uint64 {
+	if s.spec && first != 0 {
+		return first - 1
+	}
+	return r1
+}
+
 // segmentRange is the fast-path kernel: agent-major over the segment's
-// rounds, one compiled transition per round, visits recorded into stripe
-// (may be nil).
+// rounds, one compiled transition per round, visits buffered into stripe
+// (may be nil). Its loops make no calls but the buffer flushes.
 func (s *swarm) segmentRange(lo, hi int, stripe *grid.VisitSet) uint64 {
 	c := s.c
 	r0, r1 := s.segR0, s.segR1
 	tx, ty := s.target.X, s.target.Y
 	hasTarget := s.hasTarget
+	var buf [visitBatchLen]grid.Point
+	bn := 0
 	var first uint64
 	for i := lo; i < hi; i++ {
 		if s.famOf != nil {
@@ -393,12 +424,9 @@ func (s *swarm) segmentRange(lo, hi int, stripe *grid.VisitSet) uint64 {
 		st := int(s.states[i])
 		x, y := s.posX[i], s.posY[i]
 		found := s.agents[i].Found
-		if stripe != nil && !hasTarget {
-			// Coverage kernel: no per-step target test, Next and Advance
-			// inline, and visits are buffered so the loop body makes no
-			// calls at all — one VisitBatch flush per buffer.
-			var buf [visitBatchLen]grid.Point
-			bn := 0
+		switch {
+		case stripe != nil && !hasTarget:
+			// Coverage kernel: no per-step target test.
 			for r := r0; r <= r1; r++ {
 				st = c.Next(st, src.Uint64())
 				x, y = c.Advance(st, x, y)
@@ -409,18 +437,34 @@ func (s *swarm) segmentRange(lo, hi int, stripe *grid.VisitSet) uint64 {
 					bn = 0
 				}
 			}
-			stripe.VisitBatch(buf[:bn])
-		} else {
+		case stripe != nil:
 			for r := r0; r <= r1; r++ {
 				st = c.Next(st, src.Uint64())
 				x, y = c.Advance(st, x, y)
-				if stripe != nil {
-					stripe.Visit(grid.Point{X: x, Y: y})
+				buf[bn] = grid.Point{X: x, Y: y}
+				bn++
+				if bn == len(buf) {
+					stripe.VisitBatch(buf[:])
+					bn = 0
 				}
-				if hasTarget && !found && x == tx && y == ty {
+				if x == tx && y == ty && !found {
 					found = true
 					if first == 0 || r < first {
 						first = r
+					}
+				}
+			}
+		default:
+			for r, end := r0, s.agentEnd(r1, first); r <= end; r++ {
+				st = c.Next(st, src.Uint64())
+				x, y = c.Advance(st, x, y)
+				if x == tx && y == ty && hasTarget && !found {
+					found = true
+					if first == 0 || r < first {
+						first = r
+					}
+					if s.spec {
+						break
 					}
 				}
 			}
@@ -431,6 +475,9 @@ func (s *swarm) segmentRange(lo, hi int, stripe *grid.VisitSet) uint64 {
 		s.agents[i].State = st
 		s.agents[i].Found = found
 	}
+	if stripe != nil {
+		stripe.VisitBatch(buf[:bn])
+	}
 	return first
 }
 
@@ -440,10 +487,30 @@ func (s *swarm) segmentRange(lo, hi int, stripe *grid.VisitSet) uint64 {
 // model. A crashed agent never acts again and keeps its position; an agent
 // still inside its start-delay prefix draws nothing at all, so the walk
 // stream it eventually uses is the same one it would have used with no
-// delay.
+// delay. The world and target set are constant over a segment, so their
+// fast forms — an open plane, a frozen obstacle table, a single target, a
+// frozen target table — are picked once per segment and run inline.
 func (s *swarm) segmentRangeGeneral(lo, hi int, stripe *grid.VisitSet) uint64 {
 	c := s.c
 	r0, r1 := s.segR0, s.segR1
+	_, open := s.world.(OpenPlane)
+	var blocked *spatial.Table
+	if o, ok := s.world.(Obstacles); ok && o.idx != nil {
+		blocked = o.idx.Table()
+	}
+	targets := s.targets
+	hunting := !targets.Empty()
+	one := targets.Len() == 1
+	var t0 grid.Point
+	if one {
+		t0 = targets.pts[0]
+	}
+	var tgtTable *spatial.Table
+	if targets.idx != nil {
+		tgtTable = targets.idx.Table()
+	}
+	var buf [visitBatchLen]grid.Point
+	bn := 0
 	var first uint64
 	for i := lo; i < hi; i++ {
 		if s.crashed[i] {
@@ -457,7 +524,7 @@ func (s *swarm) segmentRangeGeneral(lo, hi int, stripe *grid.VisitSet) uint64 {
 		x, y := s.posX[i], s.posY[i]
 		found := s.agents[i].Found
 		delay := s.delays[i]
-		for r := r0; r <= r1; r++ {
+		for r, end := r0, s.agentEnd(r1, first); r <= end; r++ {
 			if r <= delay {
 				continue
 			}
@@ -467,20 +534,50 @@ func (s *swarm) segmentRangeGeneral(lo, hi int, stripe *grid.VisitSet) uint64 {
 				break
 			}
 			st = c.Next(st, src.Uint64())
-			p := grid.Point{X: x, Y: y}
-			if c.IsOrigin(st) {
-				p = grid.Origin
-			} else if d, ok := c.Dir(st); ok {
-				p, _ = s.world.Resolve(p, d)
+			switch {
+			case open:
+				x, y = c.Advance(st, x, y)
+			case blocked != nil:
+				// A none state advances in place and every world contains
+				// the origin, so only true moves can be refused.
+				if nx, ny := c.Advance(st, x, y); !blocked.Contains(nx, ny) {
+					x, y = nx, ny
+				}
+			default:
+				if c.IsOrigin(st) {
+					x, y = 0, 0
+				} else if d, ok := c.Dir(st); ok {
+					p, _ := s.world.Resolve(grid.Point{X: x, Y: y}, d)
+					x, y = p.X, p.Y
+				}
 			}
-			x, y = p.X, p.Y
 			if stripe != nil {
-				stripe.Visit(p)
+				buf[bn] = grid.Point{X: x, Y: y}
+				bn++
+				if bn == len(buf) {
+					stripe.VisitBatch(buf[:])
+					bn = 0
+				}
 			}
-			if !found && s.targets.Hit(p) {
+			if found || !hunting {
+				continue
+			}
+			var hit bool
+			switch {
+			case one:
+				hit = x == t0.X && y == t0.Y
+			case tgtTable != nil:
+				hit = tgtTable.Contains(x, y)
+			default:
+				hit = targets.Hit(grid.Point{X: x, Y: y})
+			}
+			if hit {
 				found = true
 				if first == 0 || r < first {
 					first = r
+				}
+				if s.spec {
+					break
 				}
 			}
 		}
@@ -490,7 +587,30 @@ func (s *swarm) segmentRangeGeneral(lo, hi int, stripe *grid.VisitSet) uint64 {
 		s.agents[i].State = st
 		s.agents[i].Found = found
 	}
+	if stripe != nil {
+		stripe.VisitBatch(buf[:bn])
+	}
 	return first
+}
+
+// specGrowth sets the length of a speculative StopOnFound segment: a
+// segment starting at round r covers max(1, r/specGrowth) rounds, so the
+// rounds stepped past the first find stay below 1/specGrowth (12.5%) of
+// it, while a run to round F takes O(specGrowth·ln F) segments instead
+// of F.
+const specGrowth = 8
+
+// specSegment returns the last round of the speculative segment starting
+// at round, capped at the horizon.
+func specSegment(round, horizon uint64) uint64 {
+	n := round / specGrowth
+	if n < 1 {
+		n = 1
+	}
+	if n-1 >= horizon-round {
+		return horizon
+	}
+	return round + n - 1
 }
 
 // RunRounds executes the swarm in lockstep. Observers (optional, may be
@@ -537,7 +657,8 @@ func RunRounds(cfg RoundsConfig, obs RoundObserver, seed uint64) (*RoundsResult,
 	if err := validateDynamics(cfg.World, cfg.DynamicWorld, hasStatic, cfg.DynamicTargets); err != nil {
 		return nil, err
 	}
-	if err := validateWorld(cfg.World, mergeTargets(cfg.Target, cfg.HasTarget, cfg.Targets).Points()); err != nil {
+	targets := mergeTargets(cfg.Target, cfg.HasTarget, cfg.Targets)
+	if err := validateWorld(cfg.World, targets.Points()); err != nil {
 		return nil, err
 	}
 	if err := cfg.Faults.Validate(); err != nil {
@@ -548,7 +669,7 @@ func RunRounds(cfg RoundsConfig, obs RoundObserver, seed uint64) (*RoundsResult,
 	}
 	n := cfg.NumAgents
 	workers := roundWorkers(cfg.Workers, n)
-	sw := newSwarm(cfg, seed)
+	sw := newSwarm(cfg, targets, seed)
 	sw.syncDynamics(1)
 
 	track := cfg.TrackRadius > 0
@@ -608,14 +729,20 @@ func RunRounds(cfg RoundsConfig, obs RoundObserver, seed uint64) (*RoundsResult,
 			master.Merge(st)
 		}
 	}
-	// Observers and StopOnFound need exclusive access after every round;
-	// otherwise segments extend to the next checkpoint, the next dynamics
-	// epoch end, the next adversary opportunity, or the horizon.
+	// Observers, and StopOnFound runs whose agent states stay observable
+	// (tracking, faults), need exclusive access after every round. A
+	// StopOnFound run that exposes only the first-found round runs
+	// speculative segments instead (specSegment). Otherwise segments extend
+	// to the next checkpoint, the next dynamics epoch end, the next
+	// adversary opportunity, or the horizon.
+	sw.spec = cfg.StopOnFound && obs == nil && !track && !cfg.Faults.Enabled()
 	perRound := obs != nil || cfg.StopOnFound
 	for round := uint64(1); round <= cfg.Rounds; {
 		sw.syncDynamics(round)
 		segEnd := cfg.Rounds
-		if perRound {
+		if sw.spec {
+			segEnd = specSegment(round, cfg.Rounds)
+		} else if perRound {
 			segEnd = round
 		}
 		if nextCk < len(cfg.Checkpoints) && cfg.Checkpoints[nextCk] < segEnd {
@@ -651,6 +778,10 @@ func RunRounds(cfg RoundsConfig, obs RoundObserver, seed uint64) (*RoundsResult,
 		if firstFound != 0 && !res.Found {
 			res.Found = true
 			res.FoundRound = firstFound
+			if sw.spec {
+				// The overshoot past the find is not part of the run.
+				res.RoundsRun = firstFound
+			}
 		}
 		// The adversary acts at the end of its opportunity rounds, before
 		// observers see the snapshot, so crash flags are part of the

@@ -144,9 +144,10 @@ const obstacleIndexMaxCells = 1 << 22
 //
 // A struct literal resolves moves by scanning Blocked linearly — exact but
 // O(#rects) per step. NewObstacles additionally rasterizes the rectangles
-// into a sparse spatial index, making membership O(tree height) regardless
-// of the rectangle count; the two constructions are observationally
-// identical.
+// into a frozen spatial index (spatial.FromRects), making membership a
+// table lookup regardless of the rectangle count — and one the rounds
+// engine's general kernel inlines; the two constructions are
+// observationally identical.
 type Obstacles struct {
 	// Blocked lists the obstacle rectangles (inclusive corners). None may
 	// contain the origin.
@@ -246,23 +247,25 @@ const targetSetMapThreshold = 8
 // TargetSet is the set of target positions of one search instance. Small
 // sets (the common case: one target) are scanned linearly, matching the
 // single-comparison cost of the pre-scenario engine; larger sets use a
-// sparse spatial index, which also answers nearest-target queries in time
-// proportional to the tile distance to the answer. The zero value is the
-// empty set (a pure coverage run).
+// frozen sparse spatial index, which answers Hit with a table lookup and
+// nearest-target queries in time proportional to the tile distance to the
+// answer. The zero value is the empty set (a pure coverage run).
 type TargetSet struct {
 	pts []grid.Point
 	idx *spatial.Index // non-nil only above targetSetMapThreshold
 }
 
 // NewTargetSet builds a target set from the given points (duplicates are
-// kept in Points but hit detection is unaffected).
+// kept in Points but hit detection is unaffected). Sets above
+// targetSetMapThreshold get a frozen index (spatial.FromCells).
 func NewTargetSet(pts ...grid.Point) TargetSet {
 	t := TargetSet{pts: pts}
 	if len(pts) > targetSetMapThreshold {
-		t.idx = spatial.NewIndex()
-		for _, p := range pts {
-			t.idx.Visit(p.X, p.Y)
+		cells := make([][2]int64, len(pts))
+		for i, p := range pts {
+			cells[i] = [2]int64{p.X, p.Y}
 		}
+		t.idx = spatial.FromCells(cells)
 	}
 	return t
 }

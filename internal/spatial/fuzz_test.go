@@ -7,8 +7,11 @@ import (
 
 // FuzzSparseVisit drives an Index against a map oracle with a byte-coded
 // op stream: each 5-byte record is 1 op byte + 4 coordinate bytes. Ops
-// cycle through visit, contains, merge-into-scratch, and ball queries, so
-// the fuzzer explores promotion, tile reuse, and merge alignment.
+// cycle through visit, contains, visit-into-scratch, merge, freeze (the
+// index is rebuilt by FromCells, so later ops query and mutate a frozen
+// index) and a Cursor run of cells along a row, so the fuzzer explores
+// promotion, tile reuse, merge alignment, the frozen table and its drop
+// on tile creation.
 func FuzzSparseVisit(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0})
 	f.Add([]byte{0, 1, 0, 0, 0, 1, 255, 255, 255, 255})
@@ -20,6 +23,9 @@ func FuzzSparseVisit(f *testing.F) {
 	f.Add(chain)
 	// Merge stress: interleave visits with merge ops.
 	f.Add([]byte{0, 10, 0, 0, 0, 2, 0, 0, 0, 0, 0, 20, 0, 0, 1, 2, 0, 0, 0, 0})
+	// Freeze, then query, visit a far tile, query, run a cursor.
+	f.Add([]byte{0, 5, 0, 0, 0, 0, 200, 9, 0, 0, 4, 0, 0, 0, 0, 1, 5, 0, 0, 0,
+		0, 0, 0, 0, 64, 1, 200, 9, 0, 0, 5, 60, 0, 0, 0, 1, 61, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ix := NewIndex()
@@ -27,7 +33,7 @@ func FuzzSparseVisit(f *testing.F) {
 		oracle := map[cell]bool{}
 		scratchOracle := map[cell]bool{}
 		for len(data) >= 5 {
-			op := data[0] % 4
+			op := data[0] % 6
 			// Spread 32-bit payloads over ±2^26 so runs cross many tiles
 			// and promotion levels.
 			raw := binary.LittleEndian.Uint32(data[1:5])
@@ -59,6 +65,30 @@ func FuzzSparseVisit(f *testing.F) {
 				}
 				if added != int64(wantAdded) {
 					t.Fatalf("Merge added %d, oracle says %d", added, wantAdded)
+				}
+			case 4:
+				cells := make([][2]int64, 0, len(oracle))
+				for c := range oracle {
+					cells = append(cells, [2]int64{c.x, c.y})
+				}
+				ix = FromCells(cells)
+			case 5:
+				// A row of raw%130 cells from (x, y): crosses up to three
+				// tiles, revisiting cells already present.
+				cur := ix.Cursor()
+				var fresh int64
+				for i := int64(0); i < int64(raw%130); i++ {
+					c := cell{x + i, y}
+					if cursorVisit(&cur, c.x, c.y) != !oracle[c] {
+						t.Fatalf("cursor Visit(%d,%d) disagrees with oracle", c.x, c.y)
+					}
+					if !oracle[c] {
+						fresh++
+					}
+					oracle[c] = true
+				}
+				if n := cur.Flush(); n != fresh {
+					t.Fatalf("cursor Flush=%d, oracle says %d fresh", n, fresh)
 				}
 			}
 		}

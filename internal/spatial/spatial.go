@@ -24,6 +24,12 @@
 // instead of degenerating to the full 29-level tower that an origin on a
 // power-of-two boundary would force.
 //
+// Indexes built in one go and then only read — FromRects for obstacle
+// worlds, FromCells for large target sets — also carry a frozen tile table:
+// a row-major array of leaf pointers over the tile bounds, built by the
+// constructor, so Contains costs one bounds check and two loads instead of
+// a root-to-leaf descent. Creating a tile later drops the table.
+//
 // An Index is not safe for concurrent mutation. Read-only queries
 // (Contains, Each*, Nearest) never mutate the structure — including the
 // internal last-tile write cache — so a quiesced Index may be shared by any
@@ -85,10 +91,16 @@ type Index struct {
 
 	count int64
 
-	// Bounds of visited cells in biased tile coords, for Nearest's ring
-	// search termination. Valid only when count > 0.
+	// Bounds of the allocated tiles in biased tile coords, for Nearest's
+	// ring search termination and the frozen table. Valid only when
+	// hasBounds is set.
+	hasBounds    bool
 	minTX, maxTX uint64
 	minTY, maxTY uint64
+
+	// table is the frozen tile table (see freeze), nil when absent. Only
+	// constructors build it; creating a tile drops it.
+	table *Table
 
 	// Last-leaf write cache: agents visit runs of adjacent cells, so
 	// consecutive Visits overwhelmingly land in one tile. Only mutating
@@ -133,12 +145,136 @@ func (ix *Index) Visit(x, y int64) bool {
 	return true
 }
 
+// Cursor inserts a batch of cells into an Index with the current leaf tile
+// held in its own fields, so a run of visits to one tile makes no call:
+// Visit is a tile compare and a bit test, small enough to inline. When a
+// cell lies outside the current tile, Visit reports ok = false and the
+// caller Enters the cell's tile and visits again:
+//
+//	fresh, ok := cur.Visit(x, y)
+//	if !ok {
+//		cur.Enter(x, y)
+//		fresh, _ = cur.Visit(x, y)
+//	}
+//
+// The index's Count lags the cursor's fresh cells until Flush. A Cursor
+// must not outlive its batch: any other mutation of the index in between
+// invalidates its count.
+type Cursor struct {
+	ix     *Index
+	tx, ty uint64 // biased coords of leaf; noTile before the first Enter
+	leaf   *[TileSize]uint64
+	added  int64
+}
+
+// noTile is a biased tile coordinate no cell maps to (tile coordinates
+// stay below 2⁵⁸), so a fresh cursor holds no tile.
+const noTile = ^uint64(0)
+
+// Cursor returns a batch inserter over ix, holding no tile yet.
+func (ix *Index) Cursor() Cursor { return Cursor{ix: ix, tx: noTile, ty: noTile} }
+
+// Visit inserts cell (x, y) when it lies in the cursor's current tile and
+// reports whether it was newly inserted; ok is false (and nothing is
+// inserted) when the cell lies in another tile.
+func (c *Cursor) Visit(x, y int64) (fresh, ok bool) {
+	ux, uy := uint64(x)+cellBias, uint64(y)+cellBias
+	if ux>>TileShift != c.tx || uy>>TileShift != c.ty {
+		return false, false
+	}
+	mask := uint64(1) << (ux & tileMask)
+	w := &c.leaf[uy&tileMask]
+	if *w&mask != 0 {
+		return false, true
+	}
+	*w |= mask
+	c.added++
+	return true, true
+}
+
+// Enter moves the cursor to the tile holding cell (x, y), creating the tile
+// if needed.
+func (c *Cursor) Enter(x, y int64) {
+	utx, uty, _, _ := biasSplit(x, y)
+	c.leaf = c.ix.leaf(utx, uty, true).bits
+	c.tx, c.ty = utx, uty
+}
+
+// Flush adds the cells inserted since the last Flush to the index's count
+// and returns how many there were.
+func (c *Cursor) Flush() int64 {
+	n := c.added
+	c.ix.count += n
+	c.added = 0
+	return n
+}
+
+// Table is an index's frozen tile table: a read-only, row-major array of
+// leaf bitmaps over the index's tile bounds. Its Contains is a bounds check
+// and two loads, small enough to inline into a kernel's inner loop.
+type Table struct {
+	minTX, minTY uint64
+	w, h         uint64
+	tiles        []*[TileSize]uint64 // tile (minTX+i, minTY+j) at j*w+i; nil when absent
+}
+
+// Contains reports whether cell (x, y) is in the set the table was frozen
+// from. Cells outside the table's bounds are not members.
+func (t *Table) Contains(x, y int64) bool {
+	ux, uy := uint64(x)+cellBias, uint64(y)+cellBias
+	dx, dy := ux>>TileShift-t.minTX, uy>>TileShift-t.minTY
+	if dx >= t.w || dy >= t.h {
+		return false
+	}
+	leaf := t.tiles[dy*t.w+dx]
+	return leaf != nil && leaf[uy&tileMask]&(uint64(1)<<(ux&tileMask)) != 0
+}
+
+// Table returns the index's frozen tile table, or nil when it has none
+// (the index was not built by a freezing constructor, its bounds exceed
+// frozenMaxTiles, or a tile was created since).
+func (ix *Index) Table() *Table { return ix.table }
+
 // Contains reports whether cell (x, y) is in the set. It never mutates the
-// index, so it is safe to call concurrently on a quiesced index.
+// index, so it is safe to call concurrently on a quiesced index. It uses
+// the frozen table when there is one and descends the tree otherwise.
 func (ix *Index) Contains(x, y int64) bool {
+	if ix.table != nil {
+		return ix.table.Contains(x, y)
+	}
 	utx, uty, cx, cy := biasSplit(x, y)
 	leaf := ix.lookup(utx, uty)
 	return leaf != nil && leaf.bits[cy]&(uint64(1)<<cx) != 0
+}
+
+// frozenMaxTiles caps the frozen tile table at 2¹⁴ entries (128 KB of
+// pointers, a 128×128-tile square: ±4096 cells around a centered set).
+// Sets spread wider keep the tree descent, whose memory tracks the tiles
+// actually allocated.
+const frozenMaxTiles = 1 << 14
+
+// freeze builds the frozen tile table over the current tile bounds, unless
+// the bounds span more than frozenMaxTiles tiles. Only constructors call
+// it, once the set is complete: building it lazily on a query would make
+// a read mutate the index, and read-only queries must stay safe for
+// concurrent readers.
+func (ix *Index) freeze() {
+	if !ix.hasBounds {
+		return
+	}
+	w, h := ix.maxTX-ix.minTX+1, ix.maxTY-ix.minTY+1
+	if w > frozenMaxTiles || h > frozenMaxTiles || w*h > frozenMaxTiles {
+		return
+	}
+	t := &Table{minTX: ix.minTX, minTY: ix.minTY, w: w, h: h, tiles: make([]*[TileSize]uint64, w*h)}
+	for j := uint64(0); j < h; j++ {
+		for i := uint64(0); i < w; i++ {
+			if n := ix.lookup(ix.minTX+i, ix.minTY+j); n != nil {
+				t.tiles[j*w+i] = n.bits
+			}
+		}
+	}
+	ix.table = t
 }
 
 // covers reports whether the root's span includes tile (utx, uty).
@@ -201,6 +337,7 @@ func (ix *Index) leaf(utx, uty uint64, create bool) *node {
 		if child == nil {
 			if l == 1 {
 				child = newLeaf()
+				ix.table = nil // the frozen table has no slot for it
 			} else {
 				child = newInternal()
 			}
@@ -212,10 +349,10 @@ func (ix *Index) leaf(utx, uty uint64, create bool) *node {
 	return n
 }
 
-// boundsAdd widens the visited-tile bounding box to include (utx, uty).
+// boundsAdd widens the tile bounding box to include (utx, uty).
 func (ix *Index) boundsAdd(utx, uty uint64) {
-	if ix.count == 0 && ix.lastLeaf == nil && ix.minTX == 0 && ix.maxTX == 0 {
-		// First tile ever.
+	if !ix.hasBounds {
+		ix.hasBounds = true
 		ix.minTX, ix.maxTX = utx, utx
 		ix.minTY, ix.maxTY = uty, uty
 		return
@@ -329,11 +466,12 @@ func eachBall(n *node, level uint, bx, by uint64, r int64, fn func(x, y int64)) 
 // returns the number of newly inserted cells, and, when ballR >= 0, how
 // many of those have max-norm at most ballR (tiles entirely inside or
 // outside the ball are classified once; only boundary tiles pay a per-bit
-// norm check). Merging does not modify other.
+// norm check). Merging does not modify other, and drops ix's frozen table.
 func (ix *Index) Merge(other *Index, ballR int64) (added, addedInBall int64) {
 	if other == nil || other.root == nil {
 		return 0, 0
 	}
+	ix.table = nil
 	if ix.root == nil {
 		ix.level = other.level
 		ix.rootX, ix.rootY = other.rootX, other.rootY
@@ -376,7 +514,7 @@ func (ix *Index) Merge(other *Index, ballR int64) (added, addedInBall int64) {
 	}
 	added, addedInBall = mergeNode(n, other.root, other.level, other.rootX, other.rootY, ballR)
 	ix.count += added
-	if other.count > 0 {
+	if other.hasBounds {
 		ix.boundsAdd(other.minTX, other.minTY)
 		ix.boundsAdd(other.maxTX, other.maxTY)
 	}
@@ -547,11 +685,11 @@ func chebDist(x1, y1, x2, y2 int64) int64 {
 }
 
 // FromRects rasterizes a set of inclusive rectangles [x0,x1]×[y0,y1] into
-// an index, for O(height) point-membership over many rectangles (the
-// Obstacles world). It returns nil when the total rasterized area exceeds
-// maxCells (callers then keep their linear scan): the index trades memory
-// proportional to covered cells for constant-time membership, which is the
-// wrong trade for a handful of enormous rectangles.
+// a frozen index, for constant-time point membership over many rectangles
+// (the Obstacles world). It returns nil when the total rasterized area
+// exceeds maxCells (callers then keep their linear scan): the index trades
+// memory proportional to covered cells for constant-time membership, which
+// is the wrong trade for a handful of enormous rectangles.
 func FromRects(rects [][4]int64, maxCells int64) *Index {
 	var area int64
 	for _, r := range rects {
@@ -573,5 +711,18 @@ func FromRects(rects [][4]int64, maxCells int64) *Index {
 			}
 		}
 	}
+	ix.freeze()
+	return ix
+}
+
+// FromCells builds a frozen index holding the given cells (duplicates are
+// harmless): the constructor for sets built once and then only queried,
+// such as large target sets.
+func FromCells(cells [][2]int64) *Index {
+	ix := NewIndex()
+	for _, c := range cells {
+		ix.Visit(c[0], c[1])
+	}
+	ix.freeze()
 	return ix
 }
