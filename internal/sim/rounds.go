@@ -488,8 +488,8 @@ func (s *swarm) segmentRange(lo, hi int, stripe *grid.VisitSet) uint64 {
 // still inside its start-delay prefix draws nothing at all, so the walk
 // stream it eventually uses is the same one it would have used with no
 // delay. The world and target set are constant over a segment, so their
-// fast forms — an open plane, a frozen obstacle table, a single target, a
-// frozen target table — are picked once per segment and run inline.
+// fast forms — an open plane, a frozen obstacle table, a single target —
+// are picked once per segment and run inline.
 func (s *swarm) segmentRangeGeneral(lo, hi int, stripe *grid.VisitSet) uint64 {
 	c := s.c
 	r0, r1 := s.segR0, s.segR1
@@ -504,10 +504,6 @@ func (s *swarm) segmentRangeGeneral(lo, hi int, stripe *grid.VisitSet) uint64 {
 	var t0 grid.Point
 	if one {
 		t0 = targets.pts[0]
-	}
-	var tgtTable *spatial.Table
-	if targets.idx != nil {
-		tgtTable = targets.idx.Table()
 	}
 	var buf [visitBatchLen]grid.Point
 	bn := 0
@@ -563,12 +559,9 @@ func (s *swarm) segmentRangeGeneral(lo, hi int, stripe *grid.VisitSet) uint64 {
 				continue
 			}
 			var hit bool
-			switch {
-			case one:
+			if one {
 				hit = x == t0.X && y == t0.Y
-			case tgtTable != nil:
-				hit = tgtTable.Contains(x, y)
-			default:
+			} else {
 				hit = targets.Hit(grid.Point{X: x, Y: y})
 			}
 			if hit {
