@@ -37,11 +37,34 @@ func RandomWalkFactory() sim.Factory {
 	return func() sim.Program { return PureRandomWalk{} }
 }
 
-// Run implements sim.Program.
+// walkDX and walkDY hold the displacement of grid.Directions[i] (up,
+// down, left, right), so a block of moves sums its draws without a call
+// per move.
+var walkDX, walkDY = [4]int64{0, 0, -1, 1}, [4]int64{1, -1, 0, 0}
+
+// Run implements sim.Program. The walk runs block by block: env.Free
+// bounds how many moves cannot reach a target or a wall, the loop draws
+// that many directions and env.Shift applies their net displacement at
+// once. Each draw is src.Uint64()>>62, which is exactly what Intn(4)
+// returns for the same word, so the stream and the trajectory are those
+// of one Move per draw. A block of one move — near a target or a wall, or
+// whenever each move needs its own checks — goes through Move.
 func (PureRandomWalk) Run(env *sim.Env) error {
 	src := env.Src()
 	for !env.Done() {
-		if err := env.Move(grid.Directions[src.Intn(4)]); err != nil {
+		n := env.Free()
+		var dx, dy int64
+		var r uint64
+		for i := n; i > 0; i-- {
+			r = src.Uint64() >> 62
+			dx += walkDX[r]
+			dy += walkDY[r]
+		}
+		if n > 1 {
+			env.Shift(dx, dy, n)
+			continue
+		}
+		if err := env.Move(grid.Directions[r]); err != nil {
 			if errors.Is(err, sim.ErrBudget) {
 				return nil
 			}

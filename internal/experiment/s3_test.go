@@ -11,21 +11,21 @@ import (
 	"repro/internal/sweep"
 )
 
-// Regenerate the S3 golden fixture after a deliberate grid or kernel
-// change with:
+// Regenerate the golden fixtures after a deliberate grid or kernel change
+// with:
 //
-//	go test ./internal/experiment -run S3 -update
+//	go test ./internal/experiment -run Golden -update
 var updateGolden = flag.Bool("update", false, "rewrite golden fixtures under testdata/")
 
-// TestS3QuickSummaryGolden pins the quick S3 sweep's summary CSV
-// byte-for-byte against a committed fixture: the dynamic presets, the
-// engines under them, and the seed derivation may not drift silently. Two
+// checkQuickSummaryGolden pins a quick sweep's summary CSV byte-for-byte
+// against the committed fixture testdata/<name>_quick_summary.csv. Two
 // in-process runs must agree with each other first (no map-order or
 // scheduling leaks), then with the fixture.
-func TestS3QuickSummaryGolden(t *testing.T) {
+func checkQuickSummaryGolden(t *testing.T, spec SweepSpec, seed uint64) {
+	t.Helper()
 	run := func() string {
 		t.Helper()
-		_, rep, err := RunSweep(s3Sweep(), Config{Seed: 11, Quick: true, Workers: 2}, nil)
+		_, rep, err := RunSweep(spec, Config{Seed: seed, Quick: true, Workers: 2}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,9 +33,9 @@ func TestS3QuickSummaryGolden(t *testing.T) {
 	}
 	first, second := run(), run()
 	if first != second {
-		t.Fatalf("quick S3 summary is nondeterministic across runs:\n%s\nvs\n%s", first, second)
+		t.Fatalf("quick %s summary is nondeterministic across runs:\n%s\nvs\n%s", spec.Name, first, second)
 	}
-	path := filepath.Join("testdata", "s3_quick_summary.csv")
+	path := filepath.Join("testdata", spec.Name+"_quick_summary.csv")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -49,8 +49,14 @@ func TestS3QuickSummaryGolden(t *testing.T) {
 		t.Fatalf("missing golden fixture (regenerate with -update): %v", err)
 	}
 	if first != string(want) {
-		t.Errorf("S3 summary drifted from its golden fixture (deliberate change? regenerate with -update):\ngot:\n%s\nwant:\n%s", first, want)
+		t.Errorf("%s summary drifted from its golden fixture (deliberate change? regenerate with -update):\ngot:\n%s\nwant:\n%s", spec.Name, first, want)
 	}
+}
+
+// TestS3QuickSummaryGolden pins the quick S3 sweep: the dynamic presets,
+// the engines under them, and the seed derivation may not drift silently.
+func TestS3QuickSummaryGolden(t *testing.T) {
+	checkQuickSummaryGolden(t, s3Sweep(), 11)
 }
 
 // TestS3ShardCountInvariance: the S3 summary must be byte-identical

@@ -23,9 +23,12 @@ import (
 // in one loop, and env.Advance applies them at once. Both split points
 // fall exactly where the per-step loop (flip, move, check) would look, so
 // the coin draws and the agent's trajectory are the same as taking one
-// step per heads. Where each move needs its own checks (worlds, schedules,
-// faults, hooks, recorded paths, indexed targets) Straight returns 1 and
-// the same loop takes one flip and one move at a time.
+// step per heads. In the Quadrant and half-plane worlds a segment also
+// ends at the wall ahead, and a walk pressed against it advances in place
+// a whole segment at a time, every blocked move charged. Where each move
+// needs its own checks (other worlds, schedules, faults, hooks, recorded
+// paths, indexed targets) Straight returns 1 and the same loop takes one
+// flip and one move at a time.
 func Walk(env *sim.Env, coin *rng.Coin, k uint, dir grid.Direction) error {
 	if !dir.Valid() {
 		return fmt.Errorf("search: invalid walk direction %v", dir)

@@ -30,9 +30,9 @@ type walkCase struct {
 	budget  uint64
 	pre     uint64 // plain moves in dir before the first walk
 	targets []grid.Point
-	track   bool    // TrackVisits
-	path    bool    // RecordPath
-	world   bool    // the quadrant world
+	track   bool // TrackVisits
+	path    bool // RecordPath
+	world   sim.World
 	crash   float64 // per-move crash probability
 	dynamic bool    // targets drift on a schedule instead of standing still
 	seed    uint64
@@ -57,9 +57,7 @@ func (c walkCase) side() walkSide {
 	} else if len(c.targets) > 0 {
 		cfg.Targets = c.targets
 	}
-	if c.world {
-		cfg.World = sim.Quadrant{}
-	}
+	cfg.World = c.world
 	if c.crash > 0 {
 		cfg.CrashProb = c.crash
 		cfg.FaultSrc = rng.New(^c.seed)
@@ -140,7 +138,9 @@ func (c walkCase) check(t testing.TB) {
 // walkCases covers every path through Straight and Advance: each coin
 // precision and composite size, budgets that run out before, during and
 // after the walk, targets on and off the walk's ray, linear and indexed
-// target sets, and each environment feature that forces per-move checks.
+// target sets, sector worlds (runs up to a wall, blocked runs against it,
+// targets on it, budgets that end mid-blocked-run) and each environment
+// feature that forces per-move checks.
 func walkCases() []walkCase {
 	var cases []walkCase
 	ahead := []grid.Point{{X: 0, Y: 6}}
@@ -183,7 +183,29 @@ func walkCases() []walkCase {
 		with("tracked visits", func(c *walkCase) { c.targets, c.track = eight, true }),
 		with("tracked visits, indexed targets", func(c *walkCase) { c.targets, c.track = many, true }),
 		with("recorded path", func(c *walkCase) { c.targets, c.path = eight, true }),
-		with("quadrant world", func(c *walkCase) { c.targets, c.world, c.dir = eight, true, grid.Left }),
+		with("quadrant world", func(c *walkCase) { c.targets, c.world, c.dir = eight, sim.Quadrant{}, grid.Left }),
+		with("half-plane world", func(c *walkCase) { c.targets, c.world, c.dir = eight, sim.HalfPlane{}, grid.Down }),
+		with("quadrant world, long walks", func(c *walkCase) {
+			c.targets, c.world, c.dir, c.ell, c.k, c.pre = eight, sim.Quadrant{}, grid.Right, 5, 1, 2
+		}),
+		with("pinned against the quadrant's wall", func(c *walkCase) { c.world, c.dir, c.pre, c.ell = sim.Quadrant{}, grid.Left, 3, 5 }),
+		with("pinned against the half-plane's floor", func(c *walkCase) {
+			c.targets, c.world, c.dir, c.pre, c.ell = eight, sim.HalfPlane{}, grid.Down, 4, 5
+		}),
+		with("targets on the walls", func(c *walkCase) {
+			c.targets, c.world, c.dir, c.ell, c.k = []grid.Point{{X: 3, Y: 0}, {X: 0, Y: 2}, {X: 0, Y: 7}}, sim.Quadrant{}, grid.Right, 5, 1
+		}),
+		with("target on the floor", func(c *walkCase) {
+			c.targets, c.world, c.dir, c.ell, c.k = []grid.Point{{X: -3, Y: 0}, {X: 2, Y: 0}}, sim.HalfPlane{}, grid.Left, 5, 1
+		}),
+		with("budget runs out mid-blocked-run", func(c *walkCase) {
+			c.world, c.dir, c.budget, c.ell, c.k = sim.Quadrant{}, grid.Left, 5, rng.MaxEll, 1
+		}),
+		with("budget runs out mid-blocked-run, half-plane", func(c *walkCase) {
+			c.world, c.dir, c.budget, c.pre, c.ell, c.k = sim.HalfPlane{}, grid.Down, 9, 2, rng.MaxEll, 1
+		}),
+		with("tracked visits, quadrant", func(c *walkCase) { c.targets, c.track, c.world, c.dir = eight, true, sim.Quadrant{}, grid.Left }),
+		with("indexed targets, quadrant", func(c *walkCase) { c.targets, c.world = many, sim.Quadrant{} }),
 		with("crash faults", func(c *walkCase) { c.targets, c.crash, c.budget = eight, 0.02, 0 }),
 		with("dynamic target schedule", func(c *walkCase) { c.dynamic, c.targets = true, []grid.Point{{X: -3, Y: 2}} }),
 		with("dynamic schedule, tracked, crashing", func(c *walkCase) { c.dynamic, c.track, c.crash = true, true, 0.01 }),
@@ -203,13 +225,16 @@ func TestWalkMatchesStepwise(t *testing.T) {
 
 // FuzzWalkMatchesStepwise holds Walk to the per-step loop on generated
 // environments: coin precision, composite size, direction, budget,
-// pre-moves, target points and the per-move features picked by flags.
+// pre-moves, target points, the sector world and the per-move features
+// picked by flags.
 func FuzzWalkMatchesStepwise(f *testing.F) {
 	f.Add(uint64(1), uint8(1), uint8(3), uint8(0), uint8(0), uint16(200), uint8(0), []byte{0, 6})
 	f.Add(uint64(2), uint8(4), uint8(1), uint8(3), uint8(0), uint16(0), uint8(0), []byte{6, 0})
 	f.Add(uint64(3), uint8(2), uint8(2), uint8(1), uint8(1), uint16(9), uint8(9), []byte{})
 	f.Add(uint64(4), uint8(3), uint8(5), uint8(2), uint8(6), uint16(50), uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18})
 	f.Add(uint64(5), uint8(1), uint8(0), uint8(0), uint8(24), uint16(30), uint8(1), []byte{0, 0})
+	f.Add(uint64(6), uint8(4), uint8(1), uint8(2), uint8(2), uint16(12), uint8(3), []byte{0, 3, 4, 0})
+	f.Add(uint64(7), uint8(4), uint8(1), uint8(1), uint8(32), uint16(0), uint8(5), []byte{5, 0, 250, 0})
 	ells := []uint{0, 1, 2, 5, rng.MaxEll}
 	f.Fuzz(func(t *testing.T, seed uint64, ellSel, k, dirSel, flags uint8, budget uint16, pre uint8, pts []byte) {
 		c := walkCase{
@@ -221,13 +246,18 @@ func FuzzWalkMatchesStepwise(f *testing.F) {
 			budget:  uint64(budget),
 			pre:     uint64(pre % 16),
 			track:   flags&1 != 0,
-			world:   flags&2 != 0,
 			dynamic: flags&8 != 0,
 			path:    flags&16 != 0,
 			seed:    seed,
 		}
 		if flags&4 != 0 {
 			c.crash = 0.01
+		}
+		switch {
+		case flags&2 != 0:
+			c.world = sim.Quadrant{}
+		case flags&32 != 0:
+			c.world = sim.HalfPlane{}
 		}
 		// An unlimited walk with rare tails would run for too long.
 		if c.budget == 0 && c.k*c.ell > 10 {

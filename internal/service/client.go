@@ -188,6 +188,19 @@ func (es *EventStream) Next() (Event, error) {
 // Close releases the stream's connection. It is safe to call after EOF.
 func (es *EventStream) Close() error { return es.body.Close() }
 
+// streamDrainLimit bounds how many bytes Wait reads past a stream's
+// terminal event. The daemon ends the response right after that event, so
+// the rest is a chunk trailer; the bound only guards against a peer that
+// keeps writing.
+const streamDrainLimit = 64 << 10
+
+// drain reads the stream to EOF (at most streamDrainLimit bytes), so
+// closing it hands the keep-alive connection back to the transport's pool
+// instead of dropping it.
+func (es *EventStream) drain() {
+	_, _ = io.Copy(io.Discard, io.LimitReader(es.body, streamDrainLimit))
+}
+
 // Events opens the job's event stream: the full history replays first,
 // then live events follow until the job is terminal. Cancel ctx to abandon
 // the stream early.
@@ -250,6 +263,7 @@ func (c *Client) Wait(ctx context.Context, id string) (Job, error) {
 			if ev.State == StateFailed {
 				failMsg = ev.Error
 			}
+			es.drain()
 			break
 		}
 	}

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -239,5 +241,51 @@ func TestEventStreamExitsOnWriteError(t *testing.T) {
 				t.Fatal("handler kept running after the connection died")
 			}
 		})
+	}
+}
+
+// TestClientWaitReusesConnection: sequential submit/wait/result cycles
+// run over one keep-alive connection. Wait reads the finished event stream
+// to its end before closing it; closing it at the terminal event instead
+// makes the transport drop the connection and dial a new one.
+func TestClientWaitReusesConnection(t *testing.T) {
+	svc, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.execute = func(ctx context.Context, rec *record) ([]byte, []byte, error) {
+		return []byte("{}\n"), []byte("csv\n"), nil
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = svc.Close(ctx)
+	}()
+	var dials atomic.Int64
+	srv := httptest.NewUnstartedServer(svc.Handler())
+	srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	client := NewClient(srv.URL)
+	ctx := context.Background()
+
+	for i := 0; i < 10; i++ {
+		job, err := client.Submit(ctx, scenarioSpec(uint64(i)+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final, err := client.Wait(ctx, job.ID); err != nil || final.State != StateDone {
+			t.Fatalf("cycle %d: Wait = %s, %v", i, final.State, err)
+		}
+		if _, err := client.Result(ctx, job.ID, "csv"); err != nil {
+			t.Fatalf("cycle %d: Result: %v", i, err)
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("10 sequential submit/wait/result cycles opened %d connections, want 1", n)
 	}
 }

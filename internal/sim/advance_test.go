@@ -39,28 +39,38 @@ func TestStraightOnTheOpenPlane(t *testing.T) {
 	}
 }
 
+// TestStraightFallsBackToOneMove: each feature that needs per-move
+// checks makes Straight, Free or both vouch for a single move.
 func TestStraightFallsBackToOneMove(t *testing.T) {
 	many := make([]grid.Point, targetSetMapThreshold+1)
 	for i := range many {
 		many[i] = grid.Point{X: int64(i) + 1, Y: 7}
 	}
 	tests := []struct {
-		name string
-		cfg  EnvConfig
+		name           string
+		cfg            EnvConfig
+		straight, free bool // whether each falls back to 1
 	}{
-		{"world", EnvConfig{World: OpenPlane{}}},
-		{"dynamic world", EnvConfig{DynamicWorld: FixedWorld{}}},
-		{"dynamic targets", EnvConfig{DynamicTargets: FixedTargets{Points: []grid.Point{{X: 9, Y: 9}}}}},
-		{"crash faults", EnvConfig{CrashProb: 1e-9, FaultSrc: rng.New(2)}},
-		{"hook", EnvConfig{Hook: &auditHook{}}},
-		{"recorded path", EnvConfig{RecordPath: true}},
-		{"indexed target set", EnvConfig{Targets: many}},
+		{"explicit open plane", EnvConfig{World: OpenPlane{}}, true, true},
+		{"torus", EnvConfig{World: Torus{L: 9}}, true, true},
+		{"obstacles", EnvConfig{World: NewObstacles(grid.Rect{Min: grid.Point{X: 5, Y: 5}, Max: grid.Point{X: 6, Y: 6}})}, true, true},
+		{"dynamic world", EnvConfig{DynamicWorld: FixedWorld{}}, true, true},
+		{"dynamic sector world", EnvConfig{DynamicWorld: FixedWorld{W: Quadrant{}}}, true, true},
+		{"dynamic targets", EnvConfig{DynamicTargets: FixedTargets{Points: []grid.Point{{X: 9, Y: 9}}}}, true, true},
+		{"crash faults", EnvConfig{CrashProb: 1e-9, FaultSrc: rng.New(2)}, true, true},
+		{"hook", EnvConfig{Hook: &auditHook{}}, true, true},
+		{"recorded path", EnvConfig{RecordPath: true}, true, true},
+		{"indexed target set", EnvConfig{Targets: many}, true, false},
+		{"tracked visits", EnvConfig{TrackVisits: grid.NewVisitSet(4)}, false, true},
 	}
 	for _, tt := range tests {
 		tt.cfg.Src = rng.New(1)
 		env := NewEnv(tt.cfg)
-		if got := env.Straight(grid.Up); got != 1 {
-			t.Errorf("%s: Straight = %d, want 1", tt.name, got)
+		if got := env.Straight(grid.Up); (got == 1) != tt.straight {
+			t.Errorf("%s: Straight = %d, falls back to 1: %v, want %v", tt.name, got, got == 1, tt.straight)
+		}
+		if got := env.Free(); (got == 1) != tt.free {
+			t.Errorf("%s: Free = %d, falls back to 1: %v, want %v", tt.name, got, got == 1, tt.free)
 		}
 		// Reset recomputes the choice: the same Env on a plain config
 		// runs free again.
@@ -68,6 +78,79 @@ func TestStraightFallsBackToOneMove(t *testing.T) {
 		if got := env.Straight(grid.Up); got != math.MaxUint64 {
 			t.Errorf("%s: Straight after a plain Reset = %d, want MaxUint64", tt.name, got)
 		}
+		if got := env.Free(); got != math.MaxUint64 {
+			t.Errorf("%s: Free after a plain Reset = %d, want MaxUint64", tt.name, got)
+		}
+	}
+}
+
+// TestStraightAndFreeBounds pins the run lengths themselves: the ray and
+// ball bounds from budgets, targets and sector walls, and blocked runs.
+func TestStraightAndFreeBounds(t *testing.T) {
+	const inf = math.MaxUint64
+	tests := []struct {
+		name     string
+		cfg      EnvConfig
+		pre      []grid.Direction
+		d        grid.Direction
+		straight uint64
+		free     uint64
+	}{
+		{name: "open plane", d: grid.Left, straight: inf, free: inf},
+		{name: "budget", cfg: EnvConfig{MoveBudget: 9}, pre: []grid.Direction{grid.Up}, d: grid.Up, straight: 8, free: 8},
+		{name: "target at distance 6", cfg: EnvConfig{Targets: []grid.Point{{X: 6, Y: -2}}}, d: grid.Right, straight: inf, free: 5},
+		{name: "target on the ray", cfg: EnvConfig{Targets: []grid.Point{{X: 6, Y: 0}}}, d: grid.Right, straight: 6, free: 5},
+		{name: "adjacent target", cfg: EnvConfig{Targets: []grid.Point{{X: 0, Y: -1}}}, d: grid.Down, straight: 1, free: 1},
+		{name: "target at distance 2", cfg: EnvConfig{Targets: []grid.Point{{X: 2, Y: 1}}}, d: grid.Up, straight: inf, free: 1},
+		{name: "quadrant, left to the wall", cfg: EnvConfig{World: Quadrant{}},
+			pre: []grid.Direction{grid.Right, grid.Right, grid.Right, grid.Up, grid.Up}, d: grid.Left, straight: 3, free: 2},
+		{name: "quadrant, down to the floor", cfg: EnvConfig{World: Quadrant{}},
+			pre: []grid.Direction{grid.Right, grid.Right, grid.Right, grid.Up, grid.Up}, d: grid.Down, straight: 2, free: 2},
+		{name: "quadrant, nearer the left wall", cfg: EnvConfig{World: Quadrant{}},
+			pre: []grid.Direction{grid.Right, grid.Right, grid.Up, grid.Up, grid.Up, grid.Up, grid.Up}, d: grid.Left, straight: 2, free: 2},
+		{name: "quadrant, away from the walls", cfg: EnvConfig{World: Quadrant{}, MoveBudget: 40},
+			pre: []grid.Direction{grid.Right, grid.Up}, d: grid.Right, straight: 38, free: 1},
+		{name: "quadrant, blocked run", cfg: EnvConfig{World: Quadrant{}, MoveBudget: 40},
+			pre: []grid.Direction{grid.Up, grid.Up}, d: grid.Left, straight: 38, free: 1},
+		{name: "quadrant, blocked run, unlimited", cfg: EnvConfig{World: Quadrant{}}, d: grid.Down, straight: inf, free: 1},
+		{name: "quadrant, target on the wall", cfg: EnvConfig{World: Quadrant{}, Targets: []grid.Point{{X: 0, Y: 9}}}, d: grid.Up, straight: 9, free: 1},
+		{name: "half plane, left is open", cfg: EnvConfig{World: HalfPlane{}},
+			pre: []grid.Direction{grid.Up, grid.Up, grid.Up, grid.Up}, d: grid.Left, straight: inf, free: 4},
+		{name: "half plane, blocked run", cfg: EnvConfig{World: HalfPlane{}, MoveBudget: 7}, d: grid.Down, straight: 7, free: 1},
+		{name: "half plane, budget exhausted", cfg: EnvConfig{World: HalfPlane{}, MoveBudget: 2},
+			pre: []grid.Direction{grid.Down, grid.Down}, d: grid.Down, straight: 1, free: 1},
+	}
+	for _, tt := range tests {
+		tt.cfg.Src = rng.New(1)
+		env := NewEnv(tt.cfg)
+		for _, d := range tt.pre {
+			_ = env.Move(d)
+		}
+		if got := env.Straight(tt.d); got != tt.straight {
+			t.Errorf("%s: Straight(%v) = %d, want %d", tt.name, tt.d, got, tt.straight)
+		}
+		if got := env.Free(); got != tt.free {
+			t.Errorf("%s: Free = %d, want %d", tt.name, got, tt.free)
+		}
+	}
+}
+
+// TestShiftIsTheNetMove: Shift applies a block's displacement and counts,
+// and leaves the source alone.
+func TestShiftIsTheNetMove(t *testing.T) {
+	src := rng.New(4)
+	env := NewEnv(EnvConfig{Src: src, MoveBudget: 10})
+	next := *src
+	env.Shift(-2, 3, 7)
+	if env.Pos() != (grid.Point{X: -2, Y: 3}) || env.Moves() != 7 || env.Steps() != 7 || env.Done() {
+		t.Fatalf("after Shift: pos %v moves %d steps %d done %v", env.Pos(), env.Moves(), env.Steps(), env.Done())
+	}
+	env.Shift(1, 0, 3)
+	if !env.Done() || env.Found() {
+		t.Fatalf("a Shift to the budget's end: done %v found %v, want done, not found", env.Done(), env.Found())
+	}
+	if src.Uint64() != next.Uint64() {
+		t.Error("Shift drew from the source")
 	}
 }
 
@@ -79,6 +162,9 @@ func TestAdvanceMatchesMoves(t *testing.T) {
 		"plain":   func() EnvConfig { return EnvConfig{Targets: targets, MoveBudget: 40} },
 		"tracked": func() EnvConfig { return EnvConfig{Targets: targets, TrackVisits: grid.NewVisitSet(8)} },
 		"world":   func() EnvConfig { return EnvConfig{Targets: targets, World: Quadrant{}, MoveBudget: 30} },
+		"half-plane": func() EnvConfig {
+			return EnvConfig{Targets: targets, World: HalfPlane{}, MoveBudget: 50, TrackVisits: grid.NewVisitSet(8)}
+		},
 		"crashing": func() EnvConfig {
 			return EnvConfig{Targets: targets, CrashProb: 0.05, FaultSrc: rng.New(3)}
 		},

@@ -64,11 +64,16 @@ type Env struct {
 	path    []grid.Point // recorded trajectory, nil unless requested
 	hook    EnvHook
 
-	// stepwise is set when some move can have an effect Straight cannot
-	// predict from the position alone (a world, a schedule, faults, a
-	// hook, a recorded path or an indexed target set), so Advance must
-	// take its moves one at a time.
-	stepwise bool
+	// stepwise and blockwise are set when Straight and Free must vouch for
+	// one move at a time. Both are set when every move needs its own
+	// checks (a schedule, faults, a hook, a recorded path, or a world with
+	// no clearance rule); stepwise also for an indexed target set (ahead
+	// scans the points linearly), blockwise also for tracked visits (Shift
+	// never materialises a block's cells).
+	stepwise, blockwise bool
+	// wallX and wallY mark the static sector world's walls: moves to
+	// x < 0 (Quadrant) and to y < 0 (Quadrant, HalfPlane) are blocked.
+	wallX, wallY bool
 }
 
 // EnvConfig configures an agent environment.
@@ -178,8 +183,12 @@ func (e *Env) reset(cfg EnvConfig, targets TargetSet) {
 	if cfg.RecordPath {
 		e.path = append(path[:0], grid.Origin)
 	}
-	e.stepwise = e.world != nil || e.dynWorld != nil || e.dynTargets != nil ||
-		e.crashThresh > 0 || e.hook != nil || e.path != nil || e.targets.idx != nil
+	var clearance bool
+	e.wallX, e.wallY, clearance = sectorWalls(cfg.World)
+	perMove := !clearance || e.dynWorld != nil || e.dynTargets != nil ||
+		e.crashThresh > 0 || e.hook != nil || e.path != nil
+	e.stepwise = perMove || e.targets.idx != nil
+	e.blockwise = perMove || e.visited != nil
 	// The untils start at zero, so this first sync fetches the schedules'
 	// state for the agent's first acting round (StartDelaySteps+1).
 	e.syncDynamics()
@@ -326,12 +335,15 @@ func (e *Env) Move(d grid.Direction) error {
 
 // Straight returns how many moves in direction d Advance may apply at
 // once: no cell before the last of them can make the agent done. That is
-// the smaller of the remaining budget and the distance along the ray to
-// the nearest target ahead, or MaxUint64 when neither applies. It returns 1
-// whenever each move needs its own checks — a world, a dynamic schedule,
-// crash faults, a hook, a recorded path, an indexed target set — and when
-// the agent is already done. It consumes no randomness, so a caller may
-// size its random draws by it without changing its stream.
+// the smaller of the remaining budget, the distance along the ray to the
+// nearest target ahead and, in a sector world (Quadrant, HalfPlane), the
+// distance to the wall ahead, or MaxUint64 when none applies. An agent
+// pressed against the wall ahead makes a blocked run: it stays put, so
+// only the budget bounds the run. Straight returns 1 whenever each move
+// needs its own checks — any other world, a dynamic schedule, crash
+// faults, a hook, a recorded path, an indexed target set — and when the
+// agent is already done. It consumes no randomness, so a caller may size
+// its random draws by it without changing its stream.
 func (e *Env) Straight(d grid.Direction) uint64 {
 	if e.stepwise || e.found || e.crashed {
 		return 1
@@ -339,22 +351,50 @@ func (e *Env) Straight(d grid.Direction) uint64 {
 	return e.straight(d)
 }
 
-// straight is Straight's open-plane bound, kept out of line so the checks
-// above inline into every caller. An exhausted budget gives 1 as well.
+// straight is Straight's bound, kept out of line so the checks above
+// inline into every caller. An exhausted budget gives 1 as well.
 func (e *Env) straight(d grid.Direction) uint64 {
-	run := uint64(math.MaxUint64)
-	if e.budget > 0 {
-		run = max(e.budget-e.moves, 1)
+	run := e.budgetLeft()
+	if e.world != nil {
+		wall := e.wallAhead(d)
+		if wall == 0 {
+			return run // a blocked run: the agent stays where it is
+		}
+		run = min(run, wall)
 	}
 	return min(run, e.targets.ahead(e.pos, d))
 }
 
+// budgetLeft returns the moves left in the budget, at least 1 (an
+// exhausted budget leaves the single Move that reports it), or MaxUint64
+// when the budget is unlimited.
+func (e *Env) budgetLeft() uint64 {
+	if e.budget > 0 {
+		return max(e.budget-e.moves, 1)
+	}
+	return math.MaxUint64
+}
+
+// wallAhead returns how many moves in direction d the sector world
+// performs before blocking one: the agent's x for Left against the
+// Quadrant's wall, its y for Down against either sector's floor, and
+// MaxUint64 for every other ray.
+func (e *Env) wallAhead(d grid.Direction) uint64 {
+	switch {
+	case d == grid.Left && e.wallX:
+		return uint64(e.pos.X)
+	case d == grid.Down && e.wallY:
+		return uint64(e.pos.Y)
+	}
+	return math.MaxUint64
+}
+
 // Advance moves the agent n cells in direction d. It behaves exactly like
 // n successive Move(d) calls, each followed by a Done check: it stops at
-// the first move that finds a target, crashes or exhausts the budget. On
-// the open plane a stretch Straight vouches for costs O(1) (one loop over
-// its cells when visits are tracked); otherwise each move goes through
-// Move.
+// the first move that finds a target, crashes or exhausts the budget. A
+// stretch Straight vouches for costs O(1) (one loop over its cells when
+// visits are tracked), blocked runs included; otherwise each move goes
+// through Move.
 func (e *Env) Advance(d grid.Direction, n uint64) {
 	for n > 0 {
 		m := min(n, e.Straight(d))
@@ -366,6 +406,9 @@ func (e *Env) Advance(d grid.Direction, n uint64) {
 			continue
 		}
 		delta := d.Delta()
+		if e.world != nil && e.wallAhead(d) == 0 {
+			delta = grid.Point{} // blocked: each move is charged in place
+		}
 		if e.visited != nil {
 			p := e.pos
 			for i := uint64(0); i < m; i++ {
@@ -387,6 +430,51 @@ func (e *Env) Advance(d grid.Direction, n uint64) {
 		}
 		n -= m
 	}
+}
+
+// Free returns how many moves, in any directions, Shift may apply at once:
+// none of them can find a target or be blocked by a wall, and only the
+// last can make the agent done, by exhausting the budget. That is the
+// smallest of the remaining budget, the max-norm distance to the nearest
+// target minus 1 and, in a sector world, the distance to its walls (x and
+// y in the Quadrant, y in the half plane: that many moves in any
+// directions are all performed), or MaxUint64 when none applies. Free
+// returns 1 — the caller makes that move with Move — whenever a bound falls
+// below 2, whenever each move needs its own checks (any other world, a
+// dynamic schedule, crash faults, a hook, a recorded path, tracked visits)
+// and when the agent is already done. Like Straight it consumes no
+// randomness.
+func (e *Env) Free() uint64 {
+	if e.blockwise || e.found || e.crashed {
+		return 1
+	}
+	return e.free()
+}
+
+// free is Free's bound, out of line like straight.
+func (e *Env) free() uint64 {
+	run := e.budgetLeft()
+	if _, d, ok := e.targets.Nearest(e.pos); ok {
+		run = min(run, uint64(max(d-1, 1)))
+	}
+	if e.wallX {
+		run = min(run, uint64(max(e.pos.X, 1)))
+	}
+	if e.wallY {
+		run = min(run, uint64(max(e.pos.Y, 1)))
+	}
+	return run
+}
+
+// Shift applies n moves whose net displacement is (dx, dy): the agent ends
+// n moves and n steps later at pos + (dx, dy). n must be at most Free(),
+// which guarantees that the per-move loop would make the same moves
+// without reaching a target or a wall, so no cell is tested.
+func (e *Env) Shift(dx, dy int64, n uint64) {
+	e.pos.X += dx
+	e.pos.Y += dy
+	e.moves += n
+	e.steps += n
 }
 
 // ReturnToOrigin teleports the agent to the origin. Per the paper's model

@@ -123,7 +123,7 @@ var envFieldsKnownToReset = map[string]bool{
 	"dynWorld": true, "dynTargets": true, "worldUntil": true, "targetsUntil": true,
 	"pos": true, "moves": true, "steps": true, "found": true,
 	"foundAt": true, "crashed": true, "visited": true, "path": true,
-	"hook": true, "stepwise": true,
+	"hook": true, "stepwise": true, "blockwise": true, "wallX": true, "wallY": true,
 }
 
 // TestEnvResetCoversEveryConfigField is the reflection audit: every field

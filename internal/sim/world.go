@@ -220,6 +220,23 @@ func (o Obstacles) Validate() error {
 // paths agree).
 func isOpenPlaneFast(w World) bool { return w == nil }
 
+// sectorWalls reports the walls of a static sector world: x reports that
+// moves to x < 0 are blocked (Quadrant), y that moves to y < 0 are
+// (Quadrant, HalfPlane). ok is true for those two worlds and for the nil
+// open plane, whose clearance is unbounded; every other world has no
+// clearance rule and resolves its moves one at a time.
+func sectorWalls(w World) (x, y, ok bool) {
+	switch w.(type) {
+	case nil:
+		return false, false, true
+	case Quadrant:
+		return true, true, true
+	case HalfPlane:
+		return false, true, true
+	}
+	return false, false, false
+}
+
 // validateWorld checks w (nil means the open plane and is always valid) and
 // that every target is a position of it.
 func validateWorld(w World, targets []grid.Point) error {
