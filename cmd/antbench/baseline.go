@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/automata"
@@ -36,11 +35,6 @@ type Baseline struct {
 	Timestamp  string             `json:"timestamp"`
 	Kernels    map[string]float64 `json:"kernels_ns_per_op"`
 }
-
-// gatedKernels are the kernels the -compare gate refuses to let regress:
-// the innermost transition and the compiled walker loop, whose cost every
-// engine pays per agent per round.
-var gatedKernels = []string{"compiled_next", "walker_step"}
 
 // measure times fn until it has consumed at least minDur (and at least two
 // batches), returning ns per op. fn runs ops operations per call.
@@ -201,55 +195,6 @@ func writeBaseline(b Baseline, path string, out io.Writer) error {
 		return fmt.Errorf("write baseline: %w", err)
 	}
 	fmt.Fprintf(out, "wrote %s\n%s", path, data)
-	return nil
-}
-
-// compareBaseline prints candidate vs the snapshot at basePath and enforces
-// the regression gate: each gated kernel may be at most (1+tolerance)× its
-// reference value. Improvements of any size and kernels absent from the
-// reference (newly added) always pass.
-func compareBaseline(candidate Baseline, basePath string, tolerance float64, out io.Writer) error {
-	data, err := os.ReadFile(basePath)
-	if err != nil {
-		return fmt.Errorf("read reference snapshot: %w", err)
-	}
-	var ref Baseline
-	if err := json.Unmarshal(data, &ref); err != nil {
-		return fmt.Errorf("parse reference snapshot %s: %w", basePath, err)
-	}
-	names := make([]string, 0, len(candidate.Kernels))
-	for k := range candidate.Kernels {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	gated := map[string]bool{}
-	for _, k := range gatedKernels {
-		gated[k] = true
-	}
-	var failures []string
-	fmt.Fprintf(out, "compare vs %s (tolerance %+.0f%% on %v):\n",
-		basePath, tolerance*100, gatedKernels)
-	for _, k := range names {
-		cur := candidate.Kernels[k]
-		base, ok := ref.Kernels[k]
-		switch {
-		case !ok:
-			fmt.Fprintf(out, "  %-20s %12.1f ns/op   (new)\n", k, cur)
-		default:
-			delta := (cur - base) / base
-			status := "ok"
-			if gated[k] && delta > tolerance {
-				status = "FAIL"
-				failures = append(failures,
-					fmt.Sprintf("%s regressed %.1f%% (%.1f -> %.1f ns/op)", k, delta*100, base, cur))
-			}
-			fmt.Fprintf(out, "  %-20s %12.1f ns/op  %+7.1f%%  %s\n", k, cur, delta*100, status)
-		}
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("perf gate: %d kernel(s) beyond ±%.0f%%: %v",
-			len(failures), tolerance*100, failures)
-	}
 	return nil
 }
 

@@ -145,12 +145,7 @@ func legacyE5(cfg Config) ([]*Table, error) {
 			}
 		}
 	}
-	for _, ell := range ells {
-		table.Notes = append(table.Notes, fmt.Sprintf(
-			"ℓ=%d: mean ratio %.2f", ell, ratioSum[ell]/float64(ratioCount[ell])))
-	}
-	table.Notes = append(table.Notes,
-		"the mean ratio grows with ℓ (the 2^{O(ℓ)} overshoot) but, for fixed ℓ, stays bounded across (D, n)")
+	table.Notes = e5Notes(ells, ratioSum, ratioCount)
 	return []*Table{table}, nil
 }
 

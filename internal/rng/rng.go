@@ -53,22 +53,29 @@ func splitMix64(state uint64) (uint64, uint64) {
 	return state, z
 }
 
-// Uint64 returns the next 64 uniformly random bits (xoshiro256**). The body
-// is written over scalar locals (not the state array) to stay within the
-// compiler's inlining budget: the simulation engines call it once per
-// Markov step, and the call overhead would otherwise dominate the kernel.
+// Uint64 returns the next 64 uniformly random bits (xoshiro256**). It
+// stays within the compiler's inlining budget: the simulation engines call
+// it once per Markov step, and the call overhead would otherwise dominate
+// the kernel.
 func (r *Source) Uint64() uint64 {
-	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
-	result := bits.RotateLeft64(s1*5, 7) * 9
+	var out uint64
+	out, r.s0, r.s1, r.s2, r.s3 = next(r.s0, r.s1, r.s2, r.s3)
+	return out
+}
+
+// next is one xoshiro256** step over the state as values: it returns the
+// output word and the new state. A loop that keeps the state in locals
+// and steps it through next holds the state in registers; one that calls
+// Uint64 on a local Source takes its address and keeps it in memory.
+func next(s0, s1, s2, s3 uint64) (out, t0, t1, t2, t3 uint64) {
+	out = bits.RotateLeft64(s1*5, 7) * 9
 	t := s1 << 17
 	s2 ^= s0
 	s3 ^= s1
 	s1 ^= s2
 	s0 ^= s3
 	s2 ^= t
-	r.s0, r.s1, r.s2 = s0, s1, s2
-	r.s3 = bits.RotateLeft64(s3, 45)
-	return result
+	return out, s0, s1, s2, bits.RotateLeft64(s3, 45)
 }
 
 // Derive returns a new independent Source for substream i of this source's

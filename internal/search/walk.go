@@ -20,7 +20,10 @@ import (
 //
 // The walk runs segment by segment: env.Straight bounds how far it can go
 // before it could become done, coin.HeadsRun draws at most that many heads
-// in one loop, and env.Advance applies them at once. Both split points
+// in one call, and env.Advance applies them at once. On a long segment
+// HeadsRun finds the stop in blocks of words without a branch per flip,
+// and re-draws to the exact stop, so its draws are still those of one
+// Composite call per step. Both split points
 // fall exactly where the per-step loop (flip, move, check) would look, so
 // the coin draws and the agent's trajectory are the same as taking one
 // step per heads. In the Quadrant and half-plane worlds a segment also
