@@ -433,8 +433,9 @@ type (
 	// stop with Service.Close.
 	Service = service.Service
 	// ServiceConfig parameterizes a Service (worker count, queue depth,
-	// sweep cache directory, durable data directory, tenant set, stream
-	// keepalive cadence).
+	// sweep cache directory, durable data directory, stream keepalive
+	// cadence). With a DataDir the Service replays its write-ahead log on
+	// restart to a byte-identical job table (DESIGN.md §7).
 	ServiceConfig = service.Config
 	// ServiceStats is the aggregate state served at /v1/stats (queue
 	// depth, jobs by state, points/sec, cache hit rate).
@@ -500,29 +501,6 @@ func NewServiceClient(baseURL string) *ServiceClient {
 // ServiceRoutes returns the service's HTTP route table — the endpoints
 // documented in docs/API.md.
 func ServiceRoutes() []ServiceRoute { return service.RouteTable() }
-
-// Tenancy and durability (DESIGN.md §7): a Service with ServiceConfig.
-// DataDir replays its write-ahead log on restart to a byte-identical
-// job table; one with ServiceConfig.Tenants requires per-tenant bearer
-// keys (ServiceClient.SetAPIKey) and enforces quotas.
-type (
-	// ServiceTenant is one API tenant: a name, its bearer key, and its
-	// quotas (max concurrent active jobs, submissions per minute).
-	ServiceTenant = service.Tenant
-	// ServiceTenantStats is one tenant's slice of /v1/stats: live quota
-	// state plus the tenant's job counts by state.
-	ServiceTenantStats = service.TenantStats
-	// ServiceQuotaError reports which tenant hit which quota; the HTTP
-	// layer serializes it into the structured 429 envelope.
-	ServiceQuotaError = service.QuotaError
-)
-
-// LoadServiceTenants reads and validates a tenant set from a JSON file
-// ({"tenants": [{"name": ..., "key": ..., ...}]}) — what `antsimd
-// -tenants` loads and ServiceConfig.Tenants accepts.
-func LoadServiceTenants(path string) ([]ServiceTenant, error) {
-	return service.LoadTenants(path)
-}
 
 // LoadOrCreateWorkerID returns the stable worker identity persisted in
 // dir (creating it on first use): the id a restarting worker rejoins a

@@ -24,9 +24,7 @@
 // clients observe it, finished artifacts are persisted atomically, and a
 // restarted daemon replays the directory so job ids, event logs and
 // artifacts come back byte-identical — queued jobs re-enter the queue and
-// jobs that were running at crash time re-execute from the cache. With
-// -tenants FILE the API requires per-tenant bearer keys and enforces
-// max-concurrent and rate quotas with fair-share scheduling.
+// jobs that were running at crash time re-execute from the cache.
 //
 // See docs/API.md for the full endpoint reference and DESIGN.md §7 for the
 // service architecture. On SIGINT/SIGTERM the daemon drains: new
@@ -72,7 +70,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		queue     = fs.Int("queue", 64, "queued-job capacity; submissions beyond it get HTTP 503")
 		cacheDir  = fs.String("cache", "", "content-addressed sweep-point cache directory (shared with antsim -cache)")
 		dataDir   = fs.String("data", "", "durable state directory: WAL + snapshot of the job store (replayed on restart) and every finished job's artifacts")
-		tenants   = fs.String("tenants", "", "tenant file (JSON {\"tenants\": [...]}): turns on Authorization: Bearer API keys, per-tenant quotas and fair-share scheduling")
 		shutdown  = fs.Duration("shutdown-timeout", 30*time.Second, "graceful-shutdown drain budget for running jobs")
 		routes    = fs.Bool("routes", false, "print the HTTP route table and exit")
 		join      = fs.String("join", "", "join a coordinator antsimd's worker fleet (base URL); heartbeats keep the membership alive")
@@ -98,20 +95,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("-advertise only applies with -join")
 	}
 
-	var tenantSet []service.Tenant
-	if *tenants != "" {
-		var err error
-		if tenantSet, err = service.LoadTenants(*tenants); err != nil {
-			return fmt.Errorf("-tenants: %w", err)
-		}
-	}
-
 	svc, err := service.New(service.Config{
 		Workers:    *workers,
 		QueueDepth: *queue,
 		CacheDir:   *cacheDir,
 		DataDir:    *dataDir,
-		Tenants:    tenantSet,
 	})
 	if err != nil {
 		return err

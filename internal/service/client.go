@@ -13,11 +13,10 @@ import (
 
 // Client is the Go client of the antsimd HTTP API. The zero value is not
 // usable; construct one with NewClient. All methods are safe for
-// concurrent use once configured (SetAPIKey before the first request).
+// concurrent use.
 type Client struct {
 	base string
 	http *http.Client
-	key  string
 }
 
 // NewClient returns a client for the daemon at baseURL (e.g.
@@ -25,18 +24,6 @@ type Client struct {
 // streaming calls hold their connection until the stream ends.
 func NewClient(baseURL string) *Client {
 	return &Client{base: strings.TrimRight(baseURL, "/"), http: &http.Client{}}
-}
-
-// SetAPIKey makes every subsequent request carry
-// "Authorization: Bearer <key>" — required against a daemon started with
-// -tenants. Call it once, before the client is shared across goroutines.
-func (c *Client) SetAPIKey(key string) { c.key = key }
-
-// authorize stamps the bearer token onto a request, when configured.
-func (c *Client) authorize(req *http.Request) {
-	if c.key != "" {
-		req.Header.Set("Authorization", "Bearer "+c.key)
-	}
 }
 
 // APIError is a non-2xx response from the daemon: the HTTP status code and
@@ -71,7 +58,6 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	c.authorize(req)
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return err
@@ -157,7 +143,6 @@ func (c *Client) Result(ctx context.Context, id, format string) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	c.authorize(req)
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, err
@@ -210,7 +195,6 @@ func (c *Client) Events(ctx context.Context, id string) (*EventStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.authorize(req)
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, err

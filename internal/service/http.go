@@ -59,20 +59,10 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// errorBody is the uniform JSON error envelope: {"error": "..."}. Quota
-// violations (HTTP 429) additionally carry the structured fields naming
-// the tenant, the exhausted quota and its limit, so clients can back off
-// programmatically instead of parsing the message.
+// errorBody is the uniform JSON error envelope: {"error": "..."}.
 type errorBody struct {
 	// Error is the human-readable error message.
 	Error string `json:"error"`
-	// Tenant names the tenant that hit a quota (429 only).
-	Tenant string `json:"tenant,omitempty"`
-	// Quota names the exhausted quota, "max_concurrent" or
-	// "rate_per_min" (429 only).
-	Quota string `json:"quota,omitempty"`
-	// Limit is the configured quota value (429 only).
-	Limit int `json:"limit,omitempty"`
 }
 
 // writeError maps a service error to its HTTP status and writes the JSON
@@ -88,46 +78,8 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, ErrBadFormat), errors.Is(err, ErrInvalidSpec):
 		status = http.StatusBadRequest
-	case errors.Is(err, ErrUnauthorized):
-		status = http.StatusUnauthorized
-	case errors.Is(err, ErrQuota):
-		status = http.StatusTooManyRequests
 	}
-	body := errorBody{Error: err.Error()}
-	var qe *QuotaError
-	if errors.As(err, &qe) {
-		body.Tenant, body.Quota, body.Limit = qe.Tenant, qe.Quota, qe.Limit
-	}
-	writeJSON(w, status, body)
-}
-
-// tenantForRequest authenticates a job-endpoint request. Without
-// configured tenants every request passes with the empty tenant; with
-// them, the request must carry "Authorization: Bearer <key>" matching a
-// tenant, and the tenant's name comes back for quota enforcement and
-// visibility scoping. tenantKeys is immutable after New, so no lock.
-func (s *Service) tenantForRequest(r *http.Request) (string, error) {
-	if len(s.tenantKeys) == 0 {
-		return "", nil
-	}
-	tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-	tok = strings.TrimSpace(tok)
-	if !ok || tok == "" {
-		return "", ErrUnauthorized
-	}
-	name, known := s.tenantKeys[tok]
-	if !known {
-		return "", ErrUnauthorized
-	}
-	return name, nil
-}
-
-// visibleTo reports whether a job is visible to the authenticated tenant:
-// everything without tenant auth, only the tenant's own jobs with it. A
-// foreign job reads as ErrNotFound, not 403 — ids must not leak across
-// tenants.
-func visibleTo(tenant string, job Job) bool {
-	return tenant == "" || job.Tenant == tenant
+	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
 // writeJSON writes v as an indented JSON response with the given status.
@@ -162,11 +114,6 @@ func (s *Service) handleMonitor(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	tenant, err := s.tenantForRequest(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
 	var spec JobSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
@@ -174,7 +121,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decode job spec: %v", err)})
 		return
 	}
-	job, err := s.SubmitAs(tenant, spec)
+	job, err := s.Submit(spec)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -183,50 +130,19 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
-	tenant, err := s.tenantForRequest(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	jobs := s.Jobs()
-	if tenant != "" {
-		scoped := make([]Job, 0, len(jobs))
-		for _, j := range jobs {
-			if visibleTo(tenant, j) {
-				scoped = append(scoped, j)
-			}
-		}
-		jobs = scoped
-	}
-	writeJSON(w, http.StatusOK, map[string][]Job{"jobs": jobs})
+	writeJSON(w, http.StatusOK, map[string][]Job{"jobs": s.Jobs()})
 }
 
 func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
-	tenant, err := s.tenantForRequest(r)
+	job, err := s.Job(r.PathValue("id"))
 	if err != nil {
 		writeError(w, err)
-		return
-	}
-	job, err := s.Job(r.PathValue("id"))
-	if err != nil || !visibleTo(tenant, job) {
-		writeError(w, ErrNotFound)
 		return
 	}
 	writeJSON(w, http.StatusOK, job)
 }
 
 func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
-	tenant, err := s.tenantForRequest(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if tenant != "" {
-		if job, err := s.Job(r.PathValue("id")); err != nil || !visibleTo(tenant, job) {
-			writeError(w, ErrNotFound)
-			return
-		}
-	}
 	job, err := s.Cancel(r.PathValue("id"))
 	if err != nil {
 		writeError(w, err)
@@ -236,17 +152,6 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
-	tenant, err := s.tenantForRequest(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if tenant != "" {
-		if job, err := s.Job(r.PathValue("id")); err != nil || !visibleTo(tenant, job) {
-			writeError(w, ErrNotFound)
-			return
-		}
-	}
 	format := r.URL.Query().Get("format")
 	data, err := s.Artifact(r.PathValue("id"), format)
 	if err != nil {
@@ -309,13 +214,8 @@ const DefaultEventKeepalive = 15 * time.Second
 // first write error, so a dead connection releases its goroutine at the
 // next event or keepalive instead of spinning until the job ends.
 func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
-	tenant, err := s.tenantForRequest(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
 	rec, ok := s.store.get(r.PathValue("id"))
-	if !ok || !visibleTo(tenant, rec.snapshot()) {
+	if !ok {
 		writeError(w, ErrNotFound)
 		return
 	}

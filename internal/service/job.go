@@ -7,8 +7,11 @@
 //
 // The moving parts:
 //
-//   - JobSpec names the work: a registered sweep (internal/experiment) or a
-//     single scenario configuration (internal/scenario) plus parameters.
+//   - JobSpec names the work, one of four kinds: a registered sweep
+//     (internal/experiment), a single scenario configuration
+//     (internal/scenario), a shard of a sweep's grid points, or a batch
+//     of synthesis candidates (internal/synth) — the last two are the
+//     worker halves of distributed runs (internal/cluster).
 //   - Job is the lifecycle record: queued → running → done | failed |
 //     cancelled, with progress counters and timestamps.
 //   - Service owns the queue, the worker pool, the per-job event logs and
@@ -83,13 +86,13 @@ const (
 	KindSynth = "synth"
 )
 
-// JobSpec describes one experiment job. Kind selects which of the three
-// families the spec names; the remaining fields parameterize it. The zero
+// JobSpec describes one experiment job. Kind selects which of the four
+// kinds the spec names; the remaining fields parameterize it. The zero
 // values of the optional fields are filled in by Normalize with the same
 // defaults the antsim CLI uses, so a spec submitted over the wire and the
 // equivalent CLI invocation describe identical computations.
 type JobSpec struct {
-	// Kind is KindSweep, KindScenario or KindShard.
+	// Kind is KindSweep, KindScenario, KindShard or KindSynth.
 	Kind string `json:"kind"`
 
 	// Sweep is the registered sweep id ("e1", "e5", "s1", "s2"); KindSweep
@@ -311,9 +314,6 @@ func (s JobSpec) synthEval() synth.EvalConfig {
 type Job struct {
 	// ID is the service-assigned job id ("j000001", ...).
 	ID string `json:"id"`
-	// Tenant names the tenant that submitted the job (empty when the
-	// daemon runs without tenant authentication).
-	Tenant string `json:"tenant,omitempty"`
 	// Spec is the normalized job spec.
 	Spec JobSpec `json:"spec"`
 	// State is the lifecycle state at snapshot time.

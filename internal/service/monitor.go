@@ -43,10 +43,8 @@ func (s *Service) MonitorState() MonitorState {
 }
 
 // sampleHealth feeds one round of gauges into the monitor: service
-// throughput, cache efficiency, queue pressure, the heartbeat age of
-// every live fleet worker, and — with tenant auth configured — each
-// tenant's active-job count, so a single tenant pinning the pool shows
-// up as its own control-chart series.
+// throughput, cache efficiency, queue pressure, and the heartbeat age of
+// every live fleet worker.
 func (s *Service) sampleHealth(now time.Time) {
 	st := s.Stats()
 	s.mon.Observe("points_per_sec", st.PointsPerSec, now)
@@ -54,9 +52,6 @@ func (s *Service) sampleHealth(now time.Time) {
 	s.mon.Observe("queue_depth", float64(st.QueueDepth), now)
 	for _, w := range s.registry.live(now) {
 		s.mon.Observe("heartbeat_age:"+w.Addr, w.AgeSec, now)
-	}
-	for name, t := range st.Tenants {
-		s.mon.Observe("tenant_active:"+name, float64(t.Active), now)
 	}
 }
 

@@ -38,6 +38,11 @@ var (
 	ErrBadFormat = errors.New(`service: artifact format must be "json" or "csv"`)
 	// ErrInvalidSpec wraps a job-spec validation failure (HTTP 400).
 	ErrInvalidSpec = errors.New("service: invalid job spec")
+	// ErrCorruptLog wraps a durable-state inconsistency that replay
+	// refuses to serve (New fails): an intact WAL frame or snapshot entry
+	// that the store could not have written, such as a malformed job id,
+	// an event for an unknown job, or an event Seq gap.
+	ErrCorruptLog = errors.New("service: corrupt durable log")
 )
 
 // Config parameterizes a Service.
@@ -66,12 +71,6 @@ type Config struct {
 	// DefaultMonitorInterval). Tests shrink it to drive the monitor
 	// quickly.
 	MonitorInterval time.Duration
-	// Tenants, when non-empty, turns on tenant authentication: the
-	// /v1/jobs endpoints require "Authorization: Bearer <key>", job
-	// visibility is scoped to the owning tenant, quotas are enforced on
-	// submission, and queued jobs are claimed fair-share across tenants.
-	// Load a set from disk with LoadTenants.
-	Tenants []Tenant
 	// EventKeepalive is the idle-stream keepalive cadence of
 	// /v1/jobs/{id}/events (default DefaultEventKeepalive). Tests shrink
 	// it to observe keepalive frames quickly.
@@ -114,9 +113,6 @@ type Stats struct {
 	// start. Non-zero means durability is degraded (a restart may lose
 	// recent records) while the in-memory store keeps serving.
 	WALErrors int64 `json:"wal_errors,omitempty"`
-	// Tenants is the per-tenant view — quota state and job-state counts —
-	// present only when tenant authentication is configured.
-	Tenants map[string]TenantStats `json:"tenants,omitempty"`
 }
 
 // Service is the daemon core: a bounded job queue, a worker pool that
@@ -127,24 +123,18 @@ type Service struct {
 	cfg   Config
 	store *store
 
-	// The queue is a deque guarded by qmu rather than a buffered
+	// The queue is a FIFO slice guarded by qmu rather than a buffered
 	// channel: cancelling a queued job must free its capacity slot
 	// immediately, which a channel cannot do (the tombstone would occupy
 	// the buffer until a worker drains it). qlive counts the queued,
 	// not-yet-terminal records — the number capacity checks and
 	// Stats.QueueDepth report; qitems may additionally hold tombstones
-	// of jobs cancelled while queued, which workers skip. Without
-	// tenants the claim order is FIFO; with tenants, pop picks
-	// fair-share across tenants (qrunning/lastPop track per-tenant
-	// claims, all under qmu) and FIFO within each tenant.
-	qmu      sync.Mutex
-	qcond    *sync.Cond
-	qitems   []qitem
-	qlive    int
-	qclosed  bool
-	qrunning map[string]int   // claimed-and-unfinished jobs per tenant
-	lastPop  map[string]int64 // popSeq of each tenant's most recent claim
-	popSeq   int64
+	// of jobs cancelled while queued, which workers skip.
+	qmu     sync.Mutex
+	qcond   *sync.Cond
+	qitems  []*record
+	qlive   int
+	qclosed bool
 
 	sealMu sync.RWMutex // guards sealed vs. submissions
 	sealed bool
@@ -167,7 +157,7 @@ type Service struct {
 	registry workerRegistry
 
 	// mon control-charts the daemon's own gauges (points/sec, cache hit
-	// rate, queue depth, worker heartbeat ages, tenant active counts);
+	// rate, queue depth, worker heartbeat ages);
 	// monitorLoop feeds it and monOnce/monStop stop the loop — and the
 	// WAL compaction loop — exactly once on Close.
 	mon     *monitor.Monitor
@@ -178,21 +168,6 @@ type Service struct {
 	// compactCh kicks the compaction loop when enough records accumulate.
 	wal       *wal
 	compactCh chan struct{}
-
-	// Tenant enforcement state: tenants (by name, guarded by tenMu) holds
-	// the mutable quota counters; tenantKeys (key → name) is immutable
-	// after New and read lock-free by the HTTP auth check.
-	tenMu      sync.Mutex
-	tenants    map[string]*tenantState
-	tenantKeys map[string]string
-}
-
-// qitem is one queue entry: the record plus its tenant, denormalized so
-// fair-share selection under qmu never needs a record lock (Cancel locks
-// a record and then takes qmu, so the reverse order would deadlock).
-type qitem struct {
-	rec    *record
-	tenant string
 }
 
 // Distributor runs a sweep job across a remote worker fleet instead of
@@ -248,9 +223,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = DefaultSnapshotEvery
 	}
-	if err := validateTenants(cfg.Tenants); err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
 	st := newStore()
 	var w *wal
 	if cfg.DataDir != "" {
@@ -271,8 +243,6 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:        cfg,
 		store:      st,
-		qrunning:   make(map[string]int),
-		lastPop:    make(map[string]int64),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		start:      time.Now(),
@@ -284,14 +254,6 @@ func New(cfg Config) (*Service, error) {
 	s.qcond = sync.NewCond(&s.qmu)
 	s.registry.ttl = cfg.WorkerTTL
 	s.execute = s.executeJob
-	if len(cfg.Tenants) > 0 {
-		s.tenants = make(map[string]*tenantState, len(cfg.Tenants))
-		s.tenantKeys = make(map[string]string, len(cfg.Tenants))
-		for _, t := range cfg.Tenants {
-			s.tenants[t.Name] = &tenantState{cfg: t}
-			s.tenantKeys[t.Key] = t.Name
-		}
-	}
 	if w != nil {
 		w.notify = func() {
 			select {
@@ -342,14 +304,12 @@ func (s *Service) recoverDurable() {
 				requeue = true
 			}
 		}
-		tenant := rec.job.Tenant
 		rec.mu.Unlock()
 		if requeue {
 			s.qmu.Lock()
-			s.qitems = append(s.qitems, qitem{rec: rec, tenant: tenant})
+			s.qitems = append(s.qitems, rec)
 			s.qlive++
 			s.qmu.Unlock()
-			s.tenantRecover(tenant)
 		}
 	}
 }
@@ -391,15 +351,6 @@ func (s *Service) compactWAL() {
 // an ErrInvalidSpec-wrapped validation error, ErrClosed when the service
 // is draining, or ErrQueueFull at capacity.
 func (s *Service) Submit(spec JobSpec) (Job, error) {
-	return s.SubmitAs("", spec)
-}
-
-// SubmitAs is Submit on behalf of a named tenant: the job records the
-// tenant, the tenant's quotas are enforced (an ErrQuota-wrapped
-// *QuotaError when exhausted), and the queue serves its jobs fair-share
-// against other tenants'. An empty tenant bypasses quota enforcement
-// (internal submissions and daemons without tenant auth).
-func (s *Service) SubmitAs(tenant string, spec JobSpec) (Job, error) {
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
 		return Job{}, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
@@ -416,11 +367,8 @@ func (s *Service) SubmitAs(tenant string, spec JobSpec) (Job, error) {
 	if s.qlive >= s.cfg.QueueDepth {
 		return Job{}, ErrQueueFull
 	}
-	if err := s.tenantAdmit(tenant, time.Now()); err != nil {
-		return Job{}, err
-	}
-	rec := s.store.add(spec, tenant, time.Now())
-	s.qitems = append(s.qitems, qitem{rec: rec, tenant: tenant})
+	rec := s.store.add(spec, time.Now())
+	s.qitems = append(s.qitems, rec)
 	s.qlive++
 	s.qcond.Signal()
 	return rec.snapshot(), nil
@@ -434,67 +382,22 @@ func (s *Service) queuedGone() {
 	s.qmu.Unlock()
 }
 
-// pop blocks until a queue entry is available (possibly a tombstone of a
-// job cancelled while queued, which the caller skips) or the queue is
-// closed and drained. Without tenants the order is plain FIFO. With
-// tenants it is fair-share: among tenants with queued work, claim from
-// the one with the fewest claimed-and-unfinished jobs, breaking ties
-// toward the tenant served longest ago, FIFO within the tenant — so one
-// tenant's burst cannot starve another's steady trickle.
-func (s *Service) pop() (qitem, bool) {
+// pop blocks until the oldest queue entry is available (possibly a
+// tombstone of a job cancelled while queued, which the caller skips) or
+// the queue is closed and drained.
+func (s *Service) pop() (*record, bool) {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
 	for len(s.qitems) == 0 {
 		if s.qclosed {
-			return qitem{}, false
+			return nil, false
 		}
 		s.qcond.Wait()
 	}
-	i := 0
-	if s.tenants != nil {
-		i = s.fairPickLocked()
-	}
-	it := s.qitems[i]
-	copy(s.qitems[i:], s.qitems[i+1:])
-	s.qitems[len(s.qitems)-1] = qitem{}
-	s.qitems = s.qitems[:len(s.qitems)-1]
-	s.popSeq++
-	s.lastPop[it.tenant] = s.popSeq
-	s.qrunning[it.tenant]++
-	return it, true
-}
-
-// fairPickLocked chooses the queue index to claim next under the
-// fair-share policy. Callers hold qmu and guarantee the queue is
-// non-empty.
-func (s *Service) fairPickLocked() int {
-	best := -1
-	var bestRun int
-	var bestLast int64
-	seen := make(map[string]bool)
-	for i, it := range s.qitems {
-		if seen[it.tenant] {
-			continue // a later entry can never beat the tenant's first (FIFO within tenant)
-		}
-		seen[it.tenant] = true
-		run, last := s.qrunning[it.tenant], s.lastPop[it.tenant]
-		if best == -1 || run < bestRun || (run == bestRun && last < bestLast) {
-			best, bestRun, bestLast = i, run, last
-		}
-	}
-	return best
-}
-
-// claimDone retires one claimed queue entry: the worker finished (or
-// skipped) the job, so the tenant's claimed-and-unfinished count drops.
-func (s *Service) claimDone(tenant string) {
-	s.qmu.Lock()
-	if s.qrunning[tenant] > 1 {
-		s.qrunning[tenant]--
-	} else {
-		delete(s.qrunning, tenant)
-	}
-	s.qmu.Unlock()
+	rec := s.qitems[0]
+	s.qitems[0] = nil
+	s.qitems = s.qitems[1:]
+	return rec, true
 }
 
 // Job returns a snapshot of the job with the given id.
@@ -519,26 +422,19 @@ func (s *Service) Cancel(id string) (Job, error) {
 		return Job{}, ErrNotFound
 	}
 	rec.mu.Lock()
-	cancelledQueued := false
+	defer rec.mu.Unlock()
 	switch {
 	case rec.job.State == StateQueued:
 		rec.setStateLocked(StateCancelled, "cancelled while queued", time.Now())
 		s.queuedGone() // free the capacity slot right away
-		cancelledQueued = true
 	case rec.job.State == StateRunning:
 		if rec.cancelFn != nil {
 			rec.cancelFn()
 		}
 	default:
-		rec.mu.Unlock()
 		return Job{}, fmt.Errorf("%w: %s is %s", ErrTerminal, id, rec.job.State)
 	}
-	job := rec.job
-	rec.mu.Unlock()
-	if cancelledQueued {
-		s.tenantDone(job.Tenant)
-	}
-	return job, nil
+	return rec.job, nil
 }
 
 // Artifact returns a finished job's result artifact in the given format
@@ -580,8 +476,7 @@ func (s *Service) Stats() Stats {
 	if s.wal != nil {
 		st.WALErrors = s.wal.errs.Load()
 	}
-	jobs := s.store.list()
-	for _, j := range jobs {
+	for _, j := range s.store.list() {
 		switch j.State {
 		case StateQueued:
 			st.Queued++
@@ -595,7 +490,6 @@ func (s *Service) Stats() Stats {
 			st.Cancelled++
 		}
 	}
-	st.Tenants = s.tenantStats(jobs, time.Now())
 	if st.UptimeSec > 0 {
 		st.PointsPerSec = float64(st.PointsDone) / st.UptimeSec
 	}
@@ -629,17 +523,11 @@ func (s *Service) Close(ctx context.Context) error {
 		if j.State == StateQueued {
 			if rec, ok := s.store.get(j.ID); ok {
 				rec.mu.Lock()
-				cancelled := false
 				if rec.job.State == StateQueued {
 					rec.setStateLocked(StateCancelled, "cancelled by shutdown", time.Now())
 					s.queuedGone()
-					cancelled = true
 				}
-				tenant := rec.job.Tenant
 				rec.mu.Unlock()
-				if cancelled {
-					s.tenantDone(tenant)
-				}
 			}
 		}
 	}
@@ -672,12 +560,11 @@ func (s *Service) Close(ctx context.Context) error {
 func (s *Service) worker() {
 	defer s.wg.Done()
 	for {
-		it, ok := s.pop()
+		rec, ok := s.pop()
 		if !ok {
 			return
 		}
-		s.runOne(it.rec)
-		s.claimDone(it.tenant)
+		s.runOne(rec)
 	}
 }
 
@@ -694,7 +581,6 @@ func (s *Service) runOne(rec *record) {
 	rec.cancelFn = cancel
 	rec.setStateLocked(StateRunning, "", time.Now())
 	id := rec.job.ID
-	tenant := rec.job.Tenant
 	rec.mu.Unlock()
 	defer cancel()
 
@@ -725,7 +611,6 @@ func (s *Service) runOne(rec *record) {
 		rec.setStateLocked(StateDone, "", time.Now())
 	}
 	rec.mu.Unlock()
-	s.tenantDone(tenant)
 }
 
 // executeJob is the real executor: it dispatches on the spec kind and

@@ -155,6 +155,45 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
+// TestQueueClaimsInSubmissionOrder pins the scheduling policy: one
+// worker claims a backlog strictly first in, first out, skipping the
+// tombstone of a job cancelled while it waited.
+func TestQueueClaimsInSubmissionOrder(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan string, 8)
+	svc := newFakeService(t, release, started)
+
+	submit := func(seed uint64) string {
+		t.Helper()
+		job, err := svc.Submit(scenarioSpec(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job.ID
+	}
+	j0 := submit(1)
+	if first := <-started; first != j0 {
+		t.Fatalf("first claim = %s, want %s", first, j0)
+	}
+	j1, j2, j3, j4 := submit(2), submit(3), submit(4), submit(5)
+	if _, err := svc.Cancel(j2); err != nil {
+		t.Fatal(err)
+	}
+
+	close(release)
+	want := []string{j1, j3, j4}
+	for i, w := range want {
+		if got := <-started; got != w {
+			t.Fatalf("claim %d = %s, want %s (full expectation %v)", i+1, got, w, want)
+		}
+	}
+	for _, id := range []string{j0, j1, j3, j4} {
+		if final := waitTerminal(t, svc, id); final.State != StateDone {
+			t.Errorf("job %s ended %s", id, final.State)
+		}
+	}
+}
+
 func TestCancelRunningJob(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan string, 1)
@@ -347,7 +386,7 @@ func TestEventLogReplaysIdentically(t *testing.T) {
 }
 
 // waitTerminal polls the job until it reaches a terminal state.
-func waitTerminal(t *testing.T, svc *Service, id string) Job {
+func waitTerminal(t testing.TB, svc *Service, id string) Job {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {

@@ -121,24 +121,27 @@ func newStore() *store {
 	return &store{jobs: make(map[string]*record)}
 }
 
-// add allocates an id, registers a queued record for spec owned by
-// tenant, persists the submission to the WAL, and returns the record.
+// add allocates an id, registers a queued record for spec, persists the
+// submission to the WAL, and returns the record.
 // The id counter survives restarts: replay seeds it past every replayed
-// job (see seedNextID), so post-restart ids never collide.
-func (st *store) add(spec JobSpec, tenant string, now time.Time) *record {
+// job (see parseJobID), so post-restart ids never collide.
+func (st *store) add(spec JobSpec, now time.Time) *record {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.nextID++
-	id := fmt.Sprintf("j%06d", st.nextID)
-	rec := &record{job: Job{ID: id, Tenant: tenant, Spec: spec, State: StateQueued, CreatedAt: now}, w: st.w}
+	id := formatJobID(st.nextID)
+	rec := &record{job: Job{ID: id, Spec: spec, State: StateQueued, CreatedAt: now}, w: st.w}
 	rec.events = append(rec.events, Event{Seq: 0, Job: id, Type: EventState, State: StateQueued})
 	st.jobs[id] = rec
 	st.order = append(st.order, id)
 	// The submit record implies the Seq-0 queued event above; replay
 	// synthesizes it, so it is not logged separately.
-	st.w.append(walRecord{Kind: walKindSubmit, Job: id, Time: now, Tenant: tenant, Spec: &spec})
+	st.w.append(walRecord{Kind: walKindSubmit, Job: id, Time: now, Spec: &spec})
 	return rec
 }
+
+// formatJobID renders the n-th job id ("j000001", ...).
+func formatJobID(n int) string { return fmt.Sprintf("j%06d", n) }
 
 // get looks a record up by id.
 func (st *store) get(id string) (*record, bool) {

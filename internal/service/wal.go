@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -42,8 +43,8 @@ import (
 
 // WAL record kinds.
 const (
-	// walKindSubmit records a job submission: id, spec, tenant and
-	// creation time. It implies the job's Seq-0 queued state event.
+	// walKindSubmit records a job submission: id, spec and creation
+	// time. It implies the job's Seq-0 queued state event.
 	walKindSubmit = "submit"
 	// walKindEvent records one event-log append, verbatim.
 	walKindEvent = "event"
@@ -65,12 +66,11 @@ const walSnapshotName = "snapshot.json"
 
 // walRecord is one WAL entry: a submission or an event-log append.
 type walRecord struct {
-	Kind   string    `json:"kind"`
-	Job    string    `json:"job"`
-	Time   time.Time `json:"time,omitzero"` // CreatedAt (submit) / lifecycle stamp (state events)
-	Tenant string    `json:"tenant,omitempty"`
-	Spec   *JobSpec  `json:"spec,omitempty"`
-	Event  *Event    `json:"event,omitempty"`
+	Kind  string    `json:"kind"`
+	Job   string    `json:"job"`
+	Time  time.Time `json:"time,omitzero"` // CreatedAt (submit) / lifecycle stamp (state events)
+	Spec  *JobSpec  `json:"spec,omitempty"`
+	Event *Event    `json:"event,omitempty"`
 }
 
 // walSnapshot is the snapshot.json payload: the full job table at
@@ -271,6 +271,11 @@ func readSegment(path string, apply func(walRecord) error) error {
 	if err != nil {
 		return err
 	}
+	return readFrames(data, apply)
+}
+
+// readFrames is readSegment on the segment's bytes.
+func readFrames(data []byte, apply func(walRecord) error) error {
 	for off := 0; ; {
 		if len(data)-off < 8 {
 			return nil
@@ -327,39 +332,53 @@ func (st *store) loadSnapshot(dir string) error {
 	}
 	var snap walSnapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("service: decode snapshot: %w", err)
+		return fmt.Errorf("%w: decode snapshot: %v", ErrCorruptLog, err)
 	}
 	if snap.SchemaVersion != snapshotSchemaVersion {
 		return fmt.Errorf("service: snapshot schema %d (want %d)", snap.SchemaVersion, snapshotSchemaVersion)
 	}
 	for _, sj := range snap.Jobs {
-		rec := &record{job: sj.Job, events: append([]Event(nil), sj.Events...)}
-		st.jobs[sj.Job.ID] = rec
-		st.order = append(st.order, sj.Job.ID)
-		st.seedNextID(sj.Job.ID)
+		id := sj.Job.ID
+		n, ok := parseJobID(id)
+		if !ok || st.jobs[id] != nil {
+			return fmt.Errorf("%w: snapshot job id %q is malformed or repeated", ErrCorruptLog, id)
+		}
+		for i, ev := range sj.Events {
+			if ev.Seq != i || ev.Job != id || !validEvent(ev) {
+				return fmt.Errorf("%w: snapshot event %d of %s is malformed", ErrCorruptLog, i, id)
+			}
+		}
+		st.jobs[id] = &record{job: sj.Job, events: append([]Event(nil), sj.Events...)}
+		st.order = append(st.order, id)
+		st.nextID = max(st.nextID, n)
 	}
-	if snap.NextID > st.nextID {
-		st.nextID = snap.NextID
+	if snap.NextID < 0 || snap.NextID == math.MaxInt {
+		return fmt.Errorf("%w: snapshot next_id %d", ErrCorruptLog, snap.NextID)
 	}
+	st.nextID = max(st.nextID, snap.NextID)
 	return nil
 }
 
 // applyWALRecord replays one record into the store. Submissions of known
 // jobs and events at already-present Seq numbers are skipped — the
-// snapshot may overlap the surviving segments by design — while a Seq gap
-// means the snapshot and segments disagree and replay fails loudly.
+// snapshot may overlap the surviving segments by design — while a record
+// the store could not have written (a Seq gap, a malformed id or event)
+// fails replay with ErrCorruptLog.
 func (st *store) applyWALRecord(wr walRecord) error {
 	switch wr.Kind {
 	case walKindSubmit:
 		if _, ok := st.jobs[wr.Job]; ok {
 			return nil
 		}
+		n, ok := parseJobID(wr.Job)
+		if !ok {
+			return fmt.Errorf("%w: submit record has malformed job id %q", ErrCorruptLog, wr.Job)
+		}
 		if wr.Spec == nil {
-			return fmt.Errorf("submit record for %s has no spec", wr.Job)
+			return fmt.Errorf("%w: submit record for %s has no spec", ErrCorruptLog, wr.Job)
 		}
 		rec := &record{job: Job{
 			ID:        wr.Job,
-			Tenant:    wr.Tenant,
 			Spec:      *wr.Spec,
 			State:     StateQueued,
 			CreatedAt: wr.Time,
@@ -367,22 +386,22 @@ func (st *store) applyWALRecord(wr walRecord) error {
 		rec.events = append(rec.events, Event{Seq: 0, Job: wr.Job, Type: EventState, State: StateQueued})
 		st.jobs[wr.Job] = rec
 		st.order = append(st.order, wr.Job)
-		st.seedNextID(wr.Job)
+		st.nextID = max(st.nextID, n)
 		return nil
 	case walKindEvent:
 		rec, ok := st.jobs[wr.Job]
 		if !ok {
-			return fmt.Errorf("event record for unknown job %s", wr.Job)
+			return fmt.Errorf("%w: event record for unknown job %q", ErrCorruptLog, wr.Job)
 		}
-		if wr.Event == nil {
-			return fmt.Errorf("event record for %s has no event", wr.Job)
+		if wr.Event == nil || wr.Event.Job != wr.Job || wr.Event.Seq < 0 || !validEvent(*wr.Event) {
+			return fmt.Errorf("%w: event record for %s is malformed", ErrCorruptLog, wr.Job)
 		}
 		ev := *wr.Event
 		switch {
 		case ev.Seq < len(rec.events):
 			return nil // already in the snapshot
 		case ev.Seq > len(rec.events):
-			return fmt.Errorf("job %s event seq %d leaves a gap (log has %d)", wr.Job, ev.Seq, len(rec.events))
+			return fmt.Errorf("%w: job %s event seq %d leaves a gap (log has %d)", ErrCorruptLog, wr.Job, ev.Seq, len(rec.events))
 		}
 		rec.events = append(rec.events, ev)
 		switch ev.Type {
@@ -408,24 +427,36 @@ func (st *store) applyWALRecord(wr walRecord) error {
 		}
 		return nil
 	default:
-		return fmt.Errorf("unknown wal record kind %q", wr.Kind)
+		return fmt.Errorf("%w: unknown wal record kind %q", ErrCorruptLog, wr.Kind)
 	}
 }
 
-// seedNextID bumps the id counter past a replayed job id, so post-restart
-// submissions never collide with pre-restart ones.
-func (st *store) seedNextID(id string) {
-	rest, ok := strings.CutPrefix(id, "j")
-	if !ok {
-		return
+// parseJobID inverts the store's id format, accepting only ids add could
+// have issued: replay seeds the id counter past them (so post-restart
+// submissions never collide, and the counter cannot overflow) and joins
+// them into artifact paths under the data directory.
+func parseJobID(id string) (int, bool) {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "j"))
+	if err != nil || n < 1 || n == math.MaxInt || formatJobID(n) != id {
+		return 0, false
 	}
-	n, err := strconv.Atoi(rest)
-	if err != nil {
-		return
+	return n, true
+}
+
+// validEvent reports whether an event has a known type and, for state
+// events, a known state.
+func validEvent(ev Event) bool {
+	switch ev.Type {
+	case EventState:
+		switch ev.State {
+		case StateQueued, StateRunning, StateDone, StateFailed, StateCancelled:
+			return true
+		}
+		return false
+	case EventPoint, EventTotal:
+		return true
 	}
-	if n > st.nextID {
-		st.nextID = n
-	}
+	return false
 }
 
 // attachWAL wires the live WAL into the store and every replayed record,

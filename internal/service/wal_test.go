@@ -1,10 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -363,4 +368,298 @@ func TestDoneJobWithMissingArtifactsReExecutes(t *testing.T) {
 	if string(got) != string(want) {
 		t.Errorf("re-executed artifact differs:\n%s\nvs\n%s", got, want)
 	}
+}
+
+// TestReplaysLogsWithTenantFields: daemons that still had tenants wrote a
+// "tenant" key on submit frames and on snapshot jobs. Replay decodes
+// leniently, so such a data directory restores the same ids, event logs
+// and done artifacts, and its queued job runs to done.
+func TestReplaysLogsWithTenantFields(t *testing.T) {
+	dir := t.TempDir()
+	spec := scenarioSpec(1)
+	spec.Normalize()
+	specJSON := mustJSON(t, spec)
+	const t0 = "2026-01-02T03:04:05Z"
+	// j000001 finished before the restart and lives in the snapshot.
+	doneEvents := `[{"seq":0,"job":"j000001","type":"state","state":"queued"},` +
+		`{"seq":1,"job":"j000001","type":"state","state":"running"},` +
+		`{"seq":2,"job":"j000001","type":"total","total":2},` +
+		`{"seq":3,"job":"j000001","type":"point","done":2,"total":2,"point":"trials=2"},` +
+		`{"seq":4,"job":"j000001","type":"state","state":"done"}]`
+	snapshot := `{"schema_version":1,"next_id":1,"jobs":[{"job":{"id":"j000001","tenant":"acme","spec":` + specJSON +
+		`,"state":"done","done":2,"total":2,"cache_hits":0,"created_at":"` + t0 + `","started_at":"` + t0 +
+		`","finished_at":"` + t0 + `"},"events":` + doneEvents + `}]}`
+	// j000002 was queued; its submit frame is in the surviving segment.
+	submit := `{"kind":"submit","job":"j000002","time":"` + t0 + `","tenant":"acme","spec":` + specJSON + `}`
+	files := map[string]string{
+		walSnapshotName:    snapshot,
+		"j000001.json":     "{\"artifact\": \"from before the restart\"}\n",
+		"j000001.csv":      "artifact\nfrom before the restart\n",
+		"wal-00000001.log": string(frame([]byte(submit))),
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	svc, err := New(Config{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatalf("New on a data directory with tenant fields: %v", err)
+	}
+	defer svc.Close(context.Background())
+
+	var ids []string
+	for _, j := range svc.Jobs() {
+		ids = append(ids, j.ID)
+	}
+	if strings.Join(ids, ",") != "j000001,j000002" {
+		t.Fatalf("replayed ids = %v, want [j000001 j000002]", ids)
+	}
+	var wantEvents []Event
+	if err := json.Unmarshal([]byte(doneEvents), &wantEvents); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mustJSON(t, eventsOf(t, svc, "j000001")), mustJSON(t, wantEvents); got != want {
+		t.Errorf("replayed event log of j000001:\ngot  %s\nwant %s", got, want)
+	}
+	for _, format := range []string{"json", "csv"} {
+		data, err := svc.Artifact("j000001", format)
+		if err != nil {
+			t.Fatalf("replayed artifact j000001/%s: %v", format, err)
+		}
+		if string(data) != files["j000001."+format] {
+			t.Errorf("replayed artifact j000001/%s = %q, want the file's bytes", format, data)
+		}
+	}
+	final := waitTerminal(t, svc, "j000002")
+	if final.State != StateDone {
+		t.Fatalf("requeued job ended %s (%s)", final.State, final.Error)
+	}
+	if evs := eventsOf(t, svc, "j000002"); evs[0].State != StateQueued || evs[len(evs)-1].State != StateDone {
+		t.Errorf("requeued job's event log = %+v", evs)
+	}
+	if jobs := mustJSON(t, svc.Jobs()); strings.Contains(jobs, "tenant") {
+		t.Errorf("replayed job records still carry a tenant: %s", jobs)
+	}
+	if job, err := svc.Submit(scenarioSpec(2)); err != nil || job.ID != "j000003" {
+		t.Errorf("post-replay submit = %+v, %v; want id j000003", job, err)
+	}
+}
+
+// TestReplayRejectsRecordsTheStoreCannotWrite: an intact frame or
+// snapshot entry the store could never have written fails New with
+// ErrCorruptLog — ids that would escape the data directory or overflow
+// the id counter, events for unknown jobs, and malformed events.
+func TestReplayRejectsRecordsTheStoreCannotWrite(t *testing.T) {
+	spec := scenarioSpec(1)
+	spec.Normalize()
+	submit := func(id string) walRecord { return walRecord{Kind: walKindSubmit, Job: id, Spec: &spec} }
+	event := func(job string, ev Event) walRecord { return walRecord{Kind: walKindEvent, Job: job, Event: &ev} }
+	running := Event{Seq: 1, Job: "j000001", Type: EventState, State: StateRunning}
+	cases := []struct {
+		name string
+		recs []walRecord
+	}{
+		{"path id", []walRecord{submit("../j000001")}},
+		{"unpadded id", []walRecord{submit("j1")}},
+		{"counter-overflowing id", []walRecord{submit("j" + strconv.Itoa(math.MaxInt))}},
+		{"submit without spec", []walRecord{{Kind: walKindSubmit, Job: "j000001"}}},
+		{"unknown kind", []walRecord{submit("j000001"), {Kind: "tenant", Job: "j000001"}}},
+		{"event for unknown job", []walRecord{event("j000001", running)}},
+		{"event without event", []walRecord{submit("j000001"), {Kind: walKindEvent, Job: "j000001"}}},
+		{"event of another job", []walRecord{submit("j000001"), event("j000001", Event{Seq: 1, Job: "j000002", Type: EventState, State: StateRunning})}},
+		{"unknown event type", []walRecord{submit("j000001"), event("j000001", Event{Seq: 1, Job: "j000001", Type: "quota"})}},
+		{"unknown state", []walRecord{submit("j000001"), event("j000001", Event{Seq: 1, Job: "j000001", Type: EventState, State: "paused"})}},
+		{"negative seq", []walRecord{submit("j000001"), event("j000001", Event{Seq: -1, Job: "j000001", Type: EventTotal})}},
+		{"seq gap", []walRecord{submit("j000001"), event("j000001", Event{Seq: 2, Job: "j000001", Type: EventTotal})}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := openWAL(dir, 0, DefaultSnapshotEvery)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range tc.recs {
+				w.append(rec)
+			}
+			w.close()
+			svc, err := New(Config{Workers: 1, DataDir: dir})
+			if err == nil {
+				svc.Close(context.Background())
+				t.Fatal("New accepted the log")
+			}
+			if !errors.Is(err, ErrCorruptLog) {
+				t.Errorf("New = %v, want ErrCorruptLog", err)
+			}
+		})
+	}
+
+	queued := `{"seq":0,"job":"j000001","type":"state","state":"queued"}`
+	snapJob := func(id, events string) string {
+		return `{"job":{"id":"` + id + `","spec":` + mustJSON(t, spec) + `,"state":"queued"},"events":[` + events + `]}`
+	}
+	snapshots := map[string]string{
+		"undecodable":    `{"schema_version":1,"jobs":[`,
+		"path id":        `{"schema_version":1,"jobs":[` + snapJob("../j000001", queued) + `]}`,
+		"repeated id":    `{"schema_version":1,"jobs":[` + snapJob("j000001", queued) + `,` + snapJob("j000001", queued) + `]}`,
+		"event seq gap":  `{"schema_version":1,"jobs":[` + snapJob("j000001", strings.Replace(queued, `"seq":0`, `"seq":1`, 1)) + `]}`,
+		"overflowing id": `{"schema_version":1,"next_id":` + strconv.Itoa(math.MaxInt) + `,"jobs":[]}`,
+	}
+	for name, body := range snapshots {
+		t.Run("snapshot "+name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, walSnapshotName), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			svc, err := New(Config{Workers: 1, DataDir: dir})
+			if err == nil {
+				svc.Close(context.Background())
+				t.Fatal("New accepted the snapshot")
+			}
+			if !errors.Is(err, ErrCorruptLog) {
+				t.Errorf("New = %v, want ErrCorruptLog", err)
+			}
+		})
+	}
+}
+
+// recordedSegment runs a short durable daemon — a quick sweep and a
+// scenario job to done, a third job cancelled while queued behind them —
+// and returns its WAL segment and the segment's JSON payloads in order.
+// Apart from timestamps the segment is the same in every process (the
+// sweep runs its points on one worker, so its point events keep their
+// order), which lets fuzz workers compare against their own recording.
+func recordedSegment(tb testing.TB) (seg []byte, payloads [][]byte) {
+	tb.Helper()
+	dir := tb.TempDir()
+	svc, err := New(Config{Workers: 1, DataDir: dir})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var ids []string
+	for _, spec := range []JobSpec{{Kind: KindSweep, Sweep: "s1", Quick: true, Seed: 1, Workers: 1}, scenarioSpec(1), scenarioSpec(2)} {
+		job, err := svc.Submit(spec)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ids = append(ids, job.ID)
+	}
+	_, _ = svc.Cancel(ids[2]) // ErrTerminal only if the worker already ran it
+	for _, id := range ids {
+		waitTerminal(tb, svc, id)
+	}
+	if err := svc.Close(context.Background()); err != nil {
+		tb.Fatal(err)
+	}
+	if seg, err = os.ReadFile(segmentPath(dir, 1)); err != nil {
+		tb.Fatal(err)
+	}
+	err = readSegment(segmentPath(dir, 1), func(wr walRecord) error {
+		payload, err := json.Marshal(wr)
+		payloads = append(payloads, payload)
+		return err
+	})
+	if err != nil || !bytes.Equal(bytes.Join(framed(payloads), nil), seg) {
+		tb.Fatalf("re-encoding the recorded segment does not reproduce it (err %v)", err)
+	}
+	return seg, payloads
+}
+
+// framed frames each payload with the WAL's length+CRC header.
+func framed(payloads [][]byte) [][]byte {
+	out := make([][]byte, len(payloads))
+	for i, p := range payloads {
+		out[i] = frame(p)
+	}
+	return out
+}
+
+// checkReplayedStore asserts the invariants every replayed store must
+// hold: each listed job once, under an id add could have issued and the
+// id counter covers, with an event log that starts queued, numbers its
+// events densely, names only its own job, and ends in the job's state.
+func checkReplayedStore(t *testing.T, st *store) {
+	t.Helper()
+	if len(st.order) != len(st.jobs) {
+		t.Fatalf("%d ids listed for %d jobs", len(st.order), len(st.jobs))
+	}
+	for _, id := range st.order {
+		rec := st.jobs[id]
+		n, ok := parseJobID(id)
+		if rec == nil || !ok || n > st.nextID || rec.job.ID != id {
+			t.Fatalf("job %q: record %v, id ok %v, counter %d", id, rec != nil, ok, st.nextID)
+		}
+		if len(rec.events) == 0 || rec.events[0].Type != EventState || rec.events[0].State != StateQueued {
+			t.Fatalf("job %s log does not start queued: %+v", id, rec.events)
+		}
+		state := StateQueued
+		for i, ev := range rec.events {
+			if ev.Seq != i || ev.Job != id || !validEvent(ev) {
+				t.Fatalf("job %s event %d is malformed: %+v", id, i, ev)
+			}
+			if ev.Type == EventState {
+				state = ev.State
+			}
+		}
+		if rec.job.State != state {
+			t.Fatalf("job %s is %s but its log ends %s", id, rec.job.State, state)
+		}
+	}
+}
+
+// FuzzWALReplay mutates a WAL segment recorded by a real durable run and
+// replays it the way New does: the segment's frames through
+// applyWALRecord, then the recovery pass that requeues unfinished jobs
+// (the worker pool is not started, so no mutant executes). With reframe
+// set, the input is instead a list of newline-separated JSON payloads,
+// each framed with a valid CRC, so mutants get past the torn-frame check
+// into applyWALRecord. Every mutant must replay to a consistent store or
+// fail with ErrCorruptLog, and never panic. A byte-mutated segment can
+// only lose, repeat or reorder intact frames, so its replayed jobs must
+// also carry the recorded specs and a prefix of the recorded event logs.
+func FuzzWALReplay(f *testing.F) {
+	seg, payloads := recordedSegment(f)
+	f.Add(seg, false)
+	f.Add(bytes.Join(payloads, []byte("\n")), true)
+	recorded := newStore()
+	if err := readFrames(seg, recorded.applyWALRecord); err != nil {
+		f.Fatal(err)
+	}
+	dataDir := f.TempDir() // holds no artifacts: recovery requeues done jobs too
+	f.Fuzz(func(t *testing.T, data []byte, reframe bool) {
+		if reframe {
+			data = bytes.Join(framed(bytes.Split(data, []byte("\n"))), nil)
+		}
+		st := newStore()
+		if err := readFrames(data, st.applyWALRecord); err != nil {
+			if !errors.Is(err, ErrCorruptLog) {
+				t.Fatalf("replay failed with %v, want ErrCorruptLog", err)
+			}
+			return
+		}
+		checkReplayedStore(t, st)
+		if !reframe {
+			for id, rec := range st.jobs {
+				want := recorded.jobs[id]
+				if want == nil || mustJSON(t, rec.job.Spec) != mustJSON(t, want.job.Spec) ||
+					len(rec.events) > len(want.events) ||
+					mustJSON(t, rec.events) != mustJSON(t, want.events[:len(rec.events)]) {
+					t.Fatalf("job %s replayed to a log the recorded run never wrote: %+v", id, rec.events)
+				}
+			}
+		}
+		s := &Service{cfg: Config{DataDir: dataDir}, store: st}
+		s.recoverDurable()
+		queued := 0
+		for _, job := range st.list() {
+			if job.State == StateQueued {
+				queued++
+			}
+		}
+		if s.qlive != queued || len(s.qitems) != queued {
+			t.Fatalf("recovery queued %d (%d entries) of %d queued jobs", s.qlive, len(s.qitems), queued)
+		}
+	})
 }
