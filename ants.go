@@ -247,7 +247,7 @@ func CoverageCurveWith(cfg RoundsConfig, checkpoints []uint64, seed uint64) ([]i
 type (
 	// World is the topology agents move on: it decides which moves are
 	// legal, applies wraparound, and reports position membership. A nil
-	// World in a Config means the open plane (the engines' fast path).
+	// World in a Config means the open plane, exactly like OpenPlane{}.
 	World = sim.World
 	// OpenPlane is the paper's unbounded lattice Z².
 	OpenPlane = sim.OpenPlane

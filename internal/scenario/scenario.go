@@ -46,7 +46,7 @@ type Scenario struct {
 	Summary string
 	// D is the nominal target distance the scenario was built for.
 	D int64
-	// World is the topology (nil = open plane, the engines' fast path).
+	// World is the topology (nil = open plane).
 	World sim.World
 	// DynamicWorld, when non-nil, is a time-varying topology (World is
 	// then nil).
@@ -72,7 +72,7 @@ func (s Scenario) RoundsOnly() bool {
 	return len(s.Machines) > 0 || s.Faults.Policy == sim.CrashNearest
 }
 
-// WorldName returns the world's name ("open-plane" for the nil fast path).
+// WorldName returns the world's name ("open-plane" for a nil World).
 func (s Scenario) WorldName() string {
 	if s.DynamicWorld != nil {
 		w, _ := s.DynamicWorld.Tick(1)

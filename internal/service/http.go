@@ -113,11 +113,19 @@ func (s *Service) handleMonitor(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.MonitorState())
 }
 
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec decodes a job submission body: one JSON object, unknown
+// fields rejected.
+func decodeSpec(body io.Reader) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decode job spec: %v", err)})
 		return
 	}

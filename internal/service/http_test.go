@@ -10,12 +10,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/experiment"
+	"repro/internal/sim"
 )
 
 // newTestServer starts a real service behind an httptest server and
@@ -334,6 +336,60 @@ func TestSubmitRejectsMalformedAndUnknownFields(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %q status = %d, want 400", body, resp.StatusCode)
 		}
+	}
+}
+
+// TestSubmitRejectsOversizedScenario: a scenario job asking for more than
+// sim.MaxAgents agents is a 400, not a job. Validation refuses it before
+// anything sized by n is allocated, so nothing is queued, logged or
+// replayed by a restarted daemon, and the bound itself still validates.
+func TestSubmitRejectsOversizedScenario(t *testing.T) {
+	dir := t.TempDir()
+	svc, err := New(Config{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := svc.Handler()
+	for _, n := range []int64{1 << 40, sim.MaxAgents + 1} {
+		body := fmt.Sprintf(`{"kind":"scenario","scenario":"open","n":%d}`, n)
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "too many agents") {
+			t.Errorf("n=%d: status %d, body %s; want 400 naming the agent bound", n, rec.Code, rec.Body)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
+			t.Errorf("n=%d: the rejected POST allocated %d bytes", n, b)
+		}
+	}
+	if jobs := svc.Jobs(); len(jobs) != 0 {
+		t.Errorf("rejected submissions left %d jobs", len(jobs))
+	}
+	if err := svc.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	restarted, err := New(Config{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close(context.Background())
+	if jobs := restarted.Jobs(); len(jobs) != 0 {
+		t.Errorf("a restart replayed %d jobs from rejected submissions", len(jobs))
+	}
+
+	spec := JobSpec{Kind: KindScenario, Scenario: "open", N: sim.MaxAgents}
+	spec.Normalize()
+	if err := spec.Validate(); err != nil {
+		t.Errorf("n = MaxAgents: %v", err)
+	}
+	spec.N++
+	if err := spec.Validate(); !errors.Is(err, sim.ErrTooManyAgents) {
+		t.Errorf("n = MaxAgents+1: %v, want ErrTooManyAgents", err)
+	}
+	if _, err := restarted.Submit(spec); !errors.Is(err, ErrInvalidSpec) || !errors.Is(err, sim.ErrTooManyAgents) {
+		t.Errorf("Submit(n = MaxAgents+1) = %v, want ErrInvalidSpec wrapping ErrTooManyAgents", err)
 	}
 }
 

@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 	"repro/internal/synth"
 )
 
@@ -113,7 +114,8 @@ type JobSpec struct {
 	Algo string `json:"algo,omitempty"`
 	// D is the nominal target distance (default 64); KindScenario only.
 	D int64 `json:"d,omitempty"`
-	// N is the agent count (default 4); KindScenario only.
+	// N is the agent count (default 4, at most sim.MaxAgents);
+	// KindScenario only.
 	N int `json:"n,omitempty"`
 	// Ell is the base-coin precision ℓ (default 1); KindScenario only.
 	Ell uint `json:"ell,omitempty"`
@@ -154,6 +156,17 @@ type JobSpec struct {
 // valid seed and stays 0 (the CLI's -seed flag defaults to 1), so
 // reproducing a CLI run requires passing its seed explicitly.
 func (s *JobSpec) Normalize() {
+	// An empty list means what an absent one does; keep the absent form,
+	// which is also what the WAL's encoding (omitempty) replays.
+	if len(s.Points) == 0 {
+		s.Points = nil
+	}
+	if len(s.SynthSpecs) == 0 {
+		s.SynthSpecs = nil
+	}
+	if len(s.SynthDs) == 0 {
+		s.SynthDs = nil
+	}
 	if s.Kind == KindSynth {
 		// One source of truth for the synthesis defaults: the stored spec
 		// matches what synth.EvalConfig.WithDefaults would compute.
@@ -275,6 +288,9 @@ func (s JobSpec) Validate() error {
 		}
 		if s.N < 1 {
 			return fmt.Errorf("service: scenario job needs n ≥ 1, got %d", s.N)
+		}
+		if s.N > sim.MaxAgents {
+			return fmt.Errorf("service: scenario job n: %w: %d, at most %d", sim.ErrTooManyAgents, s.N, sim.MaxAgents)
 		}
 		if s.Trials < 1 {
 			return fmt.Errorf("service: scenario job needs trials ≥ 1, got %d", s.Trials)

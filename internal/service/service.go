@@ -353,7 +353,7 @@ func (s *Service) compactWAL() {
 func (s *Service) Submit(spec JobSpec) (Job, error) {
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
-		return Job{}, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
+		return Job{}, fmt.Errorf("%w: %w", ErrInvalidSpec, err)
 	}
 	s.sealMu.RLock()
 	defer s.sealMu.RUnlock()

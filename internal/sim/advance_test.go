@@ -17,6 +17,7 @@ func TestStraightOnTheOpenPlane(t *testing.T) {
 		want uint64
 	}{
 		{name: "nothing bounds the run", d: grid.Up, want: math.MaxUint64},
+		{name: "explicit open plane", cfg: EnvConfig{World: OpenPlane{}}, d: grid.Up, want: math.MaxUint64},
 		{name: "remaining budget", cfg: EnvConfig{MoveBudget: 10}, pre: 3, d: grid.Up, want: 7},
 		{name: "target ahead", cfg: EnvConfig{Target: grid.Point{X: 0, Y: 9}, HasTarget: true}, pre: 2, d: grid.Up, want: 7},
 		{name: "target behind", cfg: EnvConfig{Target: grid.Point{X: 0, Y: -9}, HasTarget: true}, d: grid.Up, want: math.MaxUint64},
@@ -51,7 +52,7 @@ func TestStraightFallsBackToOneMove(t *testing.T) {
 		cfg            EnvConfig
 		straight, free bool // whether each falls back to 1
 	}{
-		{"explicit open plane", EnvConfig{World: OpenPlane{}}, true, true},
+		{"opaque open plane", EnvConfig{World: resolveOnly{OpenPlane{}}}, true, true},
 		{"torus", EnvConfig{World: Torus{L: 9}}, true, true},
 		{"obstacles", EnvConfig{World: NewObstacles(grid.Rect{Min: grid.Point{X: 5, Y: 5}, Max: grid.Point{X: 6, Y: 6}})}, true, true},
 		{"dynamic world", EnvConfig{DynamicWorld: FixedWorld{}}, true, true},

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -12,12 +13,20 @@ import (
 )
 
 // This file is the statistical conformance suite of the scenario engine.
-// The refactor's contract is that the open plane through the general
-// (world-aware) code path is indistinguishable from the pre-refactor fast
-// path — bit-identical trajectories under the same seed, and the same
-// hit-time distribution across seeds — and that restricted worlds honor
-// their invariants (sector walls hold, torus coordinates stay in range)
-// while the fault model touches only the agents it kills.
+// Its contract is that the engines' inline forms of a world and a target
+// set — the open plane's packed grid action, the frozen obstacle table,
+// the single-target compare — are indistinguishable from the World and
+// TargetSet methods they stand for: bit-identical trajectories under the
+// same seed, and the same hit-time distribution across seeds. The
+// reference side wraps its world in resolveOnly, which no engine can
+// type-switch on. Restricted worlds must also honor their invariants
+// (sector walls hold, torus coordinates stay in range) while the fault
+// model touches only the agents it kills.
+
+// resolveOnly hides a world's concrete type from the engines: its methods
+// are the wrapped world's, but no kernel recognises it, so every move goes
+// through World.Resolve one call at a time.
+type resolveOnly struct{ World }
 
 func walkerFactory(t *testing.T) Factory {
 	t.Helper()
@@ -28,9 +37,9 @@ func walkerFactory(t *testing.T) Factory {
 	return f
 }
 
-// TestEnvOpenPlaneTrajectoryEquality: the same agent on a nil world (fast
-// path) and on an explicit OpenPlane{} (general path) must record exactly
-// the same trajectory from the same seed.
+// TestEnvOpenPlaneTrajectoryEquality: the same agent on the open plane
+// (nil, or an explicit OpenPlane{}) and on the open plane behind
+// resolveOnly must record exactly the same trajectory from the same seed.
 func TestEnvOpenPlaneTrajectoryEquality(t *testing.T) {
 	factory := walkerFactory(t)
 	run := func(w World) []grid.Point {
@@ -46,14 +55,16 @@ func TestEnvOpenPlaneTrajectoryEquality(t *testing.T) {
 		}
 		return env.Path()
 	}
-	fast := run(nil)
-	general := run(OpenPlane{})
-	if len(fast) != len(general) {
-		t.Fatalf("path lengths differ: %d vs %d", len(fast), len(general))
-	}
-	for i := range fast {
-		if fast[i] != general[i] {
-			t.Fatalf("trajectories diverge at step %d: %v vs %v", i, fast[i], general[i])
+	ref := run(resolveOnly{OpenPlane{}})
+	for _, w := range []World{nil, OpenPlane{}} {
+		got := run(w)
+		if len(got) != len(ref) {
+			t.Fatalf("%v: path lengths differ: %d vs %d", w, len(got), len(ref))
+		}
+		for i := range got {
+			if got[i] != ref[i] {
+				t.Fatalf("%v: trajectories diverge at step %d: %v vs %v", w, i, got[i], ref[i])
+			}
 		}
 	}
 }
@@ -69,17 +80,21 @@ func (o *snapshotObserver) Observe(round uint64, agents []AgentState) {
 }
 
 // TestRunRoundsOpenPlaneGeneralPathEquality: the synchronous engine must
-// produce identical round-by-round swarm snapshots on the nil-world fast
-// path and on an explicit OpenPlane{} routed through the general path.
+// produce identical round-by-round swarm snapshots whether it steps a
+// world through its inline form or through World.Resolve (resolveOnly),
+// and whether it tests one target by compare or through TargetSet.Hit (a
+// duplicated target makes a two-point set with the same hits). It covers
+// the open plane (nil and explicit) and a frozen obstacle table.
 func TestRunRoundsOpenPlaneGeneralPathEquality(t *testing.T) {
-	run := func(w World) (*RoundsResult, *snapshotObserver) {
+	target := grid.Point{X: 3, Y: 2}
+	wall := NewObstacles(grid.NewRect(grid.Point{X: 2, Y: -3}, grid.Point{X: 2, Y: 1}))
+	run := func(w World, targets []grid.Point) (*RoundsResult, *snapshotObserver) {
 		obs := &snapshotObserver{}
 		res, err := RunRounds(RoundsConfig{
 			Machine:   automata.RandomWalk(),
 			NumAgents: 16,
 			Rounds:    300,
-			Target:    grid.Point{X: 3, Y: 2},
-			HasTarget: true,
+			Targets:   targets,
 			World:     w,
 		}, obs, 7)
 		if err != nil {
@@ -87,21 +102,28 @@ func TestRunRoundsOpenPlaneGeneralPathEquality(t *testing.T) {
 		}
 		return res, obs
 	}
-	fastRes, fast := run(nil)
-	genRes, general := run(OpenPlane{})
-	if fastRes.Found != genRes.Found || fastRes.FoundRound != genRes.FoundRound ||
-		fastRes.RoundsRun != genRes.RoundsRun {
-		t.Fatalf("results differ: fast %+v vs general %+v", fastRes, genRes)
-	}
-	if len(fast.rounds) != len(general.rounds) {
-		t.Fatalf("round counts differ: %d vs %d", len(fast.rounds), len(general.rounds))
-	}
-	for r := range fast.rounds {
-		for i := range fast.rounds[r] {
-			f, g := fast.rounds[r][i], general.rounds[r][i]
-			if f != g {
-				t.Fatalf("round %d agent %d: fast %+v vs general %+v", r+1, i, f, g)
+	one, both := []grid.Point{target}, []grid.Point{target, target}
+	for _, tc := range []struct {
+		name   string
+		inline World
+		ref    World
+	}{
+		{"nil open plane", nil, resolveOnly{OpenPlane{}}},
+		{"explicit open plane", OpenPlane{}, resolveOnly{OpenPlane{}}},
+		{"obstacle table", wall, resolveOnly{wall}},
+	} {
+		gotRes, got := run(tc.inline, one)
+		for _, targets := range [][]grid.Point{one, both} {
+			refRes, ref := run(tc.ref, targets)
+			if gotRes.Found != refRes.Found || gotRes.FoundRound != refRes.FoundRound ||
+				gotRes.RoundsRun != refRes.RoundsRun {
+				t.Fatalf("%s, %d targets: results differ: inline %+v vs Resolve %+v",
+					tc.name, len(targets), gotRes, refRes)
 			}
+			assertSnapshotsEqual(t, fmt.Sprintf("%s, %d targets", tc.name, len(targets)), got, ref)
+		}
+		if !gotRes.Found {
+			t.Errorf("%s: no agent found %v in 300 rounds; the hit compare went untested", tc.name, target)
 		}
 	}
 }
@@ -124,11 +146,12 @@ func hitTimes(t *testing.T, w World, trials int, seed uint64) []float64 {
 }
 
 // TestOpenPlaneHitTimeChiSquare: across disjoint seed sets, the hit-time
-// distribution of the general path must match the fast path's. The fast
-// path provides the reference histogram (quantile bins), the general path
-// the observed counts; the chi-square statistic must stay below the
-// α = 0.001 critical value — a genuine distributional difference between
-// the two code paths would blow far past it.
+// distribution of the open plane behind resolveOnly (one World.Resolve
+// call per move) must match the open plane's. The open plane provides the
+// reference histogram (quantile bins), the wrapped world the observed
+// counts; the chi-square statistic must stay below the α = 0.001 critical
+// value — a genuine distributional difference between the two code paths
+// would blow far past it.
 func TestOpenPlaneHitTimeChiSquare(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributional conformance needs thousands of trials")
@@ -138,7 +161,7 @@ func TestOpenPlaneHitTimeChiSquare(t *testing.T) {
 	// sub-distribution on both paths) and separately checks the found
 	// fractions agree within a Chernoff band.
 	ref := hitTimes(t, nil, 2000, 1000)
-	obs := hitTimes(t, OpenPlane{}, 500, 777000)
+	obs := hitTimes(t, resolveOnly{OpenPlane{}}, 500, 777000)
 	if len(ref) < 600 || len(obs) < 150 {
 		t.Fatalf("found fractions too low for a distribution test: ref %d/2000, obs %d/500", len(ref), len(obs))
 	}

@@ -330,8 +330,8 @@ func TestMixedColonyDecomposes(t *testing.T) {
 }
 
 // TestMixedColonyFastPathEquality: a heterogeneous colony on the open
-// plane runs the fast kernel; routing it through an explicit OpenPlane{}
-// must not change a bit.
+// plane runs the kernel's call-free loops; routing its moves through
+// World.Resolve (resolveOnly) must not change a bit.
 func TestMixedColonyFastPathEquality(t *testing.T) {
 	run := func(w World) *snapshotObserver {
 		obs := &snapshotObserver{}
@@ -348,7 +348,7 @@ func TestMixedColonyFastPathEquality(t *testing.T) {
 		}
 		return obs
 	}
-	assertSnapshotsEqual(t, "mixed fast vs general", run(nil), run(OpenPlane{}))
+	assertSnapshotsEqual(t, "mixed inline vs Resolve", run(nil), run(resolveOnly{OpenPlane{}}))
 }
 
 // TestRunRoundsTrialsDeterministic: the rounds-trials helper is a pure

@@ -38,7 +38,7 @@ var ErrCrashed = fmt.Errorf("sim: agent crashed (fault injection): %w", ErrBudge
 // agent; it is not safe for concurrent use.
 type Env struct {
 	targets TargetSet
-	world   World  // nil = open plane (fast path)
+	world   World  // nil = open plane (an explicit OpenPlane{} maps to nil)
 	budget  uint64 // max moves (grid actions); 0 = unlimited
 	src     *rng.Source
 
@@ -86,11 +86,11 @@ type EnvConfig struct {
 	// Targets lists additional target points (multi-target scenarios). The
 	// agent is done as soon as it steps on any of them.
 	Targets []grid.Point
-	// World is the topology moves resolve against. Nil means the open
-	// plane (the fast path with no legality checks); restricted worlds
-	// block or wrap moves as described on the World interface. The
-	// environment does not validate the world — engines do that once per
-	// run via their configs.
+	// World is the topology moves resolve against. Nil and OpenPlane{}
+	// both mean the open plane, whose moves need no legality checks;
+	// restricted worlds block or wrap moves as described on the World
+	// interface. The environment does not validate the world — engines
+	// do that once per run via their configs.
 	World World
 	// DynamicWorld, when non-nil, makes the topology time-varying: the
 	// world in effect for each of the agent's steps comes from the
@@ -164,9 +164,13 @@ func (e *Env) Reset(cfg EnvConfig) {
 // indexes) it once per run rather than once per agent.
 func (e *Env) reset(cfg EnvConfig, targets TargetSet) {
 	path := e.path
+	world := cfg.World
+	if _, open := world.(OpenPlane); open {
+		world = nil // the open plane has one representation
+	}
 	*e = Env{
 		targets:     targets,
-		world:       cfg.World,
+		world:       world,
 		budget:      cfg.MoveBudget,
 		src:         cfg.Src,
 		dynWorld:    cfg.DynamicWorld,
@@ -184,7 +188,7 @@ func (e *Env) reset(cfg EnvConfig, targets TargetSet) {
 		e.path = append(path[:0], grid.Origin)
 	}
 	var clearance bool
-	e.wallX, e.wallY, clearance = sectorWalls(cfg.World)
+	e.wallX, e.wallY, clearance = sectorWalls(world)
 	perMove := !clearance || e.dynWorld != nil || e.dynTargets != nil ||
 		e.crashThresh > 0 || e.hook != nil || e.path != nil
 	e.stepwise = perMove || e.targets.idx != nil

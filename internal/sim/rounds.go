@@ -73,7 +73,7 @@ type RoundsConfig struct {
 	// round-robin across agent ids. At most 255 families. Takes precedence
 	// over Machine.
 	Machines []*automata.Machine
-	// NumAgents is the swarm size n.
+	// NumAgents is the swarm size n, at most MaxAgents.
 	NumAgents int
 	// Rounds is the number of synchronous rounds to execute.
 	Rounds uint64
@@ -83,14 +83,13 @@ type RoundsConfig struct {
 	// Targets lists additional target points (multi-target scenarios);
 	// they combine with Target/HasTarget into one target set.
 	Targets []grid.Point
-	// World is the topology agents move on. Nil means the open plane and
-	// selects the engine's fast path; any non-nil world (including an
-	// explicit OpenPlane{}) runs the general world-aware path. Targets
-	// must be positions of the world.
+	// World is the topology agents move on. Nil and OpenPlane{} both mean
+	// the open plane and run the same kernel loops. Targets must be
+	// positions of the world.
 	World World
 	// DynamicWorld, when non-nil, makes the topology time-varying: the
 	// engine queries the schedule at each segment boundary and cuts
-	// segments at epoch ends, so the batched kernels never straddle a
+	// segments at epoch ends, so the batched kernel never straddles a
 	// world change. Mutually exclusive with World.
 	DynamicWorld DynamicWorld
 	// DynamicTargets, when non-nil, makes the target set time-varying,
@@ -182,15 +181,11 @@ func newTrackSet(r int64, sparse bool) *grid.VisitSet {
 
 // swarm is the flat compiled-execution state of a synchronous run: one slot
 // per agent in parallel structure-of-arrays storage, stepped stripe-wise by
-// the worker pool in agent-major segments.
-//
-// Two stepping paths exist. The fast path (segmentRange) is the open-plane,
-// no-fault, single-target kernel: it applies the compiled machine's packed
-// grid action directly. The general path (segmentRangeGeneral) resolves
-// every move against a World, checks a TargetSet, and runs the fault model;
-// it is selected whenever any of those depart from the defaults. Both paths
-// draw exactly one walk-stream value per acting agent per round, so the
-// trajectories of an explicit OpenPlane{} match the fast path bit for bit.
+// the worker pool in agent-major segments by one kernel (segment). The
+// open plane has one representation here, OpenPlane{} (a nil World in the
+// config or from a schedule maps to it), so the kernel picks its inner
+// loop from what it observes: the world, the target set and the crash
+// threshold.
 type swarm struct {
 	c      *automata.CompiledMachine
 	srcs   []rng.Source
@@ -200,27 +195,25 @@ type swarm struct {
 	agents []AgentState
 
 	// Heterogeneous colonies: agent i runs cs[famOf[i]]. Nil famOf means a
-	// homogeneous swarm on c (the common case; the kernels' per-agent
+	// homogeneous swarm on c (the common case; the kernel's per-agent
 	// lookup then compiles to a single register load).
 	cs    []*automata.CompiledMachine
 	famOf []uint8
-
-	hasTarget bool
-	target    grid.Point
 
 	// Segment bounds [segR0, segR1], 1-based inclusive rounds; written by
 	// the main goroutine before the barrier releases the workers.
 	segR0, segR1 uint64
 
 	// spec marks a speculative StopOnFound run (see specSegment): only
-	// the first-found round is observable, so the kernels may stop each
+	// the first-found round is observable, so the kernel may stop each
 	// agent at its stripe's earliest find so far.
 	spec bool
 
-	// General-path state (world / multi-target / fault scenarios).
-	general   bool
-	world     World
-	targets   TargetSet
+	// The world and target set in effect for the current segment.
+	world   World
+	targets TargetSet
+
+	// The fault model's state; the slices are nil when it is off.
 	crashProb uint64 // fixed-point per-round crash threshold; 0 = off
 	faultSrcs []rng.Source
 	delays    []uint64 // idle-prefix rounds per agent
@@ -266,13 +259,14 @@ func (s *swarm) machineOf(i int) *automata.CompiledMachine {
 // syncDynamics refreshes the cached world and target set for the round
 // about to run. It must be called only between segments (the workers are
 // parked) and only advances when the cached epoch has expired, so a static
-// schedule costs one interface call per run.
+// schedule costs one interface call per run. A nil world, from the config
+// or a schedule, becomes OpenPlane{}.
 func (s *swarm) syncDynamics(round uint64) {
 	if s.dynWorld != nil && round > s.worldUntil {
 		s.world, s.worldUntil = s.dynWorld.Tick(round)
-		if s.world == nil {
-			s.world = OpenPlane{}
-		}
+	}
+	if s.world == nil {
+		s.world = OpenPlane{}
 	}
 	if s.dynTargets != nil && round > s.targetsUntil {
 		s.targets, s.targetsUntil = s.dynTargets.Targets(round)
@@ -282,13 +276,15 @@ func (s *swarm) syncDynamics(round uint64) {
 func newSwarm(cfg RoundsConfig, targets TargetSet, seed uint64) *swarm {
 	n := cfg.NumAgents
 	s := &swarm{
-		srcs:      make([]rng.Source, n),
-		states:    make([]int32, n),
-		posX:      make([]int64, n),
-		posY:      make([]int64, n),
-		agents:    make([]AgentState, n),
-		hasTarget: cfg.HasTarget,
-		target:    cfg.Target,
+		srcs:       make([]rng.Source, n),
+		states:     make([]int32, n),
+		posX:       make([]int64, n),
+		posY:       make([]int64, n),
+		agents:     make([]AgentState, n),
+		world:      cfg.World,
+		targets:    targets,
+		dynWorld:   cfg.DynamicWorld,
+		dynTargets: cfg.DynamicTargets,
 	}
 	if len(cfg.Machines) > 0 {
 		s.cs = make([]*automata.CompiledMachine, len(cfg.Machines))
@@ -310,36 +306,25 @@ func newSwarm(cfg RoundsConfig, targets TargetSet, seed uint64) *swarm {
 		s.states[i] = start
 		s.agents[i] = AgentState{Pos: grid.Origin, State: int(start)}
 	}
-	if !isOpenPlaneFast(cfg.World) || cfg.Faults.Enabled() || len(cfg.Targets) > 0 ||
-		cfg.DynamicWorld != nil || cfg.DynamicTargets != nil {
-		s.general = true
-		s.world = cfg.World
-		if s.world == nil {
-			s.world = OpenPlane{}
-		}
-		s.targets = targets
-		s.dynWorld = cfg.DynamicWorld
-		s.dynTargets = cfg.DynamicTargets
+	if cfg.Faults.Policy == CrashUniform {
+		s.crashProb = cfg.Faults.crashThreshold()
+	}
+	if cfg.Faults.Enabled() {
+		faultRoot := root.Derive(faultStreamTag)
 		s.crashed = make([]bool, n)
 		s.delays = make([]uint64, n)
-		if cfg.Faults.Policy == CrashUniform {
-			s.crashProb = cfg.Faults.crashThreshold()
+		s.faultSrcs = make([]rng.Source, n)
+		for i := 0; i < n; i++ {
+			faultRoot.DeriveInto(uint64(i), &s.faultSrcs[i])
+			s.delays[i] = cfg.Faults.startDelay(&s.faultSrcs[i])
 		}
-		if cfg.Faults.Enabled() {
-			faultRoot := root.Derive(faultStreamTag)
-			s.faultSrcs = make([]rng.Source, n)
-			for i := 0; i < n; i++ {
-				faultRoot.DeriveInto(uint64(i), &s.faultSrcs[i])
-				s.delays[i] = cfg.Faults.startDelay(&s.faultSrcs[i])
+		if cfg.Faults.Adaptive() {
+			s.adv = &adversary{
+				thresh: cfg.Faults.crashThreshold(),
+				budget: cfg.Faults.CrashBudget,
+				every:  cfg.Faults.CrashEvery,
 			}
-			if cfg.Faults.Adaptive() {
-				s.adv = &adversary{
-					thresh: cfg.Faults.crashThreshold(),
-					budget: cfg.Faults.CrashBudget,
-					every:  cfg.Faults.CrashEvery,
-				}
-				faultRoot.DeriveInto(adversaryStreamTag, &s.adv.src)
-			}
+			faultRoot.DeriveInto(adversaryStreamTag, &s.adv.src)
 		}
 	}
 	return s
@@ -376,19 +361,9 @@ func (s *swarm) adversaryStep() {
 	s.adv.budget--
 }
 
-// segment advances agents [lo, hi) through rounds [segR0, segR1] on
-// whichever path the run selected, returning the earliest round at which an
-// agent in the range newly reached a target (0: none did).
-func (s *swarm) segment(lo, hi int, stripe *grid.VisitSet) uint64 {
-	if s.general {
-		return s.segmentRangeGeneral(lo, hi, stripe)
-	}
-	return s.segmentRange(lo, hi, stripe)
-}
-
-// visitBatchLen is the kernels' visit-buffer size: 256 points (4 KB per
-// worker frame) amortizes the VisitBatch call without leaving L1. Both
-// kernels record visits only through this buffer, flushed when full and
+// visitBatchLen is the kernel's visit-buffer size: 256 points (4 KB per
+// worker frame) amortizes the VisitBatch call without leaving L1. The
+// kernel records visits only through this buffer, flushed when full and
 // at the end of the segment; a stripe is a set, so one buffer may span
 // agents.
 const visitBatchLen = 256
@@ -405,46 +380,93 @@ func (s *swarm) agentEnd(r1, first uint64) uint64 {
 	return r1
 }
 
-// segmentRange is the fast-path kernel: agent-major over the segment's
-// rounds, one compiled transition per round, visits buffered into stripe
-// (may be nil). Its loops make no calls but the buffer flushes.
-func (s *swarm) segmentRange(lo, hi int, stripe *grid.VisitSet) uint64 {
+// kernel holds the forms of a segment's world and target set, picked
+// once per segment, and the batch buffer of a worker's visit stripe (nil:
+// the run does not track).
+type kernel struct {
+	open    bool           // the world is the open plane
+	blocked *spatial.Table // frozen table of an indexed obstacle world
+	hunting bool           // the target set is not empty
+	one     bool           // the target set is the single point t
+	t       grid.Point
+	stripe  *grid.VisitSet
+	bn      int
+	buf     [visitBatchLen]grid.Point
+}
+
+// segment advances agents [lo, hi) through rounds [segR0, segR1],
+// returning the earliest round at which an agent in the range newly
+// reached a target (0: none did). A crashed agent never acts again and
+// keeps its position; an agent still inside its start-delay prefix draws
+// nothing at all, so the walk stream it eventually uses is the same one it
+// would have used with no delay.
+//
+// The world and target set are constant over a segment, so the inner loop
+// is picked once per agent-segment. On the open plane with no crash draws
+// and at most one target, three call-free loops apply the compiled
+// machine's packed grid action directly: coverage, tracked hunt and
+// untracked (possibly speculative) hunt. Every other agent-segment runs
+// runWorld, kept out of line so its state does not crowd these loops'
+// registers.
+func (s *swarm) segment(lo, hi int, stripe *grid.VisitSet) uint64 {
+	k := kernel{stripe: stripe}
+	_, k.open = s.world.(OpenPlane)
+	if o, ok := s.world.(Obstacles); ok && o.idx != nil {
+		k.blocked = o.idx.Table()
+	}
+	k.hunting = !s.targets.Empty()
+	if k.one = s.targets.Len() == 1; k.one {
+		k.t = s.targets.pts[0]
+	}
+	plain := k.open && s.crashProb == 0 && s.targets.Len() <= 1
+	faults := s.crashed != nil
+	hunting, tx, ty := k.hunting, k.t.X, k.t.Y
 	c := s.c
 	r0, r1 := s.segR0, s.segR1
-	tx, ty := s.target.X, s.target.Y
-	hasTarget := s.hasTarget
-	var buf [visitBatchLen]grid.Point
 	bn := 0
 	var first uint64
 	for i := lo; i < hi; i++ {
+		start := r0
+		if faults {
+			if s.crashed[i] {
+				continue
+			}
+			start = max(r0, s.delays[i]+1)
+		}
 		if s.famOf != nil {
 			c = s.cs[s.famOf[i]]
+		}
+		if !plain {
+			k.bn = bn
+			first = s.runWorld(&k, i, c, start, first)
+			bn = k.bn
+			continue
 		}
 		src := &s.srcs[i]
 		st := int(s.states[i])
 		x, y := s.posX[i], s.posY[i]
 		found := s.agents[i].Found
 		switch {
-		case stripe != nil && !hasTarget:
-			// Coverage kernel: no per-step target test.
-			for r := r0; r <= r1; r++ {
+		case stripe != nil && !hunting:
+			// Coverage: no per-step target test.
+			for r := start; r <= r1; r++ {
 				st = c.Next(st, src.Uint64())
 				x, y = c.Advance(st, x, y)
-				buf[bn] = grid.Point{X: x, Y: y}
+				k.buf[bn] = grid.Point{X: x, Y: y}
 				bn++
-				if bn == len(buf) {
-					stripe.VisitBatch(buf[:])
+				if bn == len(k.buf) {
+					stripe.VisitBatch(k.buf[:])
 					bn = 0
 				}
 			}
 		case stripe != nil:
-			for r := r0; r <= r1; r++ {
+			for r := start; r <= r1; r++ {
 				st = c.Next(st, src.Uint64())
 				x, y = c.Advance(st, x, y)
-				buf[bn] = grid.Point{X: x, Y: y}
+				k.buf[bn] = grid.Point{X: x, Y: y}
 				bn++
-				if bn == len(buf) {
-					stripe.VisitBatch(buf[:])
+				if bn == len(k.buf) {
+					stripe.VisitBatch(k.buf[:])
 					bn = 0
 				}
 				if x == tx && y == ty && !found {
@@ -455,10 +477,10 @@ func (s *swarm) segmentRange(lo, hi int, stripe *grid.VisitSet) uint64 {
 				}
 			}
 		default:
-			for r, end := r0, s.agentEnd(r1, first); r <= end; r++ {
+			for r, end := start, s.agentEnd(r1, first); r <= end; r++ {
 				st = c.Next(st, src.Uint64())
 				x, y = c.Advance(st, x, y)
-				if x == tx && y == ty && hasTarget && !found {
+				if x == tx && y == ty && hunting && !found {
 					found = true
 					if first == 0 || r < first {
 						first = r
@@ -469,121 +491,85 @@ func (s *swarm) segmentRange(lo, hi int, stripe *grid.VisitSet) uint64 {
 				}
 			}
 		}
-		s.states[i] = int32(st)
-		s.posX[i], s.posY[i] = x, y
-		s.agents[i].Pos = grid.Point{X: x, Y: y}
-		s.agents[i].State = st
-		s.agents[i].Found = found
+		s.store(i, st, x, y, found)
 	}
 	if stripe != nil {
-		stripe.VisitBatch(buf[:bn])
+		stripe.VisitBatch(k.buf[:bn])
 	}
 	return first
 }
 
-// segmentRangeGeneral is the world-aware kernel: it draws the successor
-// state exactly like the fast path but resolves the state's grid action
-// against the world, tests the full target set, and applies the fault
-// model. A crashed agent never acts again and keeps its position; an agent
-// still inside its start-delay prefix draws nothing at all, so the walk
-// stream it eventually uses is the same one it would have used with no
-// delay. The world and target set are constant over a segment, so their
-// fast forms — an open plane, a frozen obstacle table, a single target —
-// are picked once per segment and run inline.
-func (s *swarm) segmentRangeGeneral(lo, hi int, stripe *grid.VisitSet) uint64 {
-	c := s.c
-	r0, r1 := s.segR0, s.segR1
-	_, open := s.world.(OpenPlane)
-	var blocked *spatial.Table
-	if o, ok := s.world.(Obstacles); ok && o.idx != nil {
-		blocked = o.idx.Table()
-	}
-	targets := s.targets
-	hunting := !targets.Empty()
-	one := targets.Len() == 1
-	var t0 grid.Point
-	if one {
-		t0 = targets.pts[0]
-	}
-	var buf [visitBatchLen]grid.Point
-	bn := 0
-	var first uint64
-	for i := lo; i < hi; i++ {
-		if s.crashed[i] {
+// runWorld steps agent i from round r through the segment when the
+// open-plane loops cannot take it, and returns the stripe's earliest find
+// so far, first updated with the agent's. It draws the successor state
+// like them but resolves the state's grid action against the world —
+// inline for the open plane and a frozen obstacle table, through
+// World.Resolve otherwise — tests the whole target set (one compare for a
+// single target) and draws the agent's crash before each round.
+func (s *swarm) runWorld(k *kernel, i int, c *automata.CompiledMachine, r, first uint64) uint64 {
+	src := &s.srcs[i]
+	st := int(s.states[i])
+	x, y := s.posX[i], s.posY[i]
+	found := s.agents[i].Found
+	open, blocked, hunting, one, t := k.open, k.blocked, k.hunting, k.one, k.t
+	stripe, bn := k.stripe, k.bn
+	for end := s.agentEnd(s.segR1, first); r <= end; r++ {
+		if s.crashProb > 0 && s.faultSrcs[i].Uint64() < s.crashProb {
+			s.crashed[i] = true
+			s.agents[i].Crashed = true
+			break
+		}
+		st = c.Next(st, src.Uint64())
+		switch {
+		case open:
+			x, y = c.Advance(st, x, y)
+		case blocked != nil:
+			// A none state advances in place and every world contains
+			// the origin, so only true moves can be refused.
+			if nx, ny := c.Advance(st, x, y); !blocked.Contains(nx, ny) {
+				x, y = nx, ny
+			}
+		default:
+			if c.IsOrigin(st) {
+				x, y = 0, 0
+			} else if d, ok := c.Dir(st); ok {
+				p, _ := s.world.Resolve(grid.Point{X: x, Y: y}, d)
+				x, y = p.X, p.Y
+			}
+		}
+		if stripe != nil {
+			k.buf[bn] = grid.Point{X: x, Y: y}
+			bn++
+			if bn == len(k.buf) {
+				stripe.VisitBatch(k.buf[:])
+				bn = 0
+			}
+		}
+		if found || !hunting {
 			continue
 		}
-		if s.famOf != nil {
-			c = s.cs[s.famOf[i]]
-		}
-		src := &s.srcs[i]
-		st := int(s.states[i])
-		x, y := s.posX[i], s.posY[i]
-		found := s.agents[i].Found
-		delay := s.delays[i]
-		for r, end := r0, s.agentEnd(r1, first); r <= end; r++ {
-			if r <= delay {
-				continue
+		if one && x == t.X && y == t.Y || !one && s.targets.Hit(grid.Point{X: x, Y: y}) {
+			found = true
+			if first == 0 || r < first {
+				first = r
 			}
-			if s.crashProb > 0 && s.faultSrcs[i].Uint64() < s.crashProb {
-				s.crashed[i] = true
-				s.agents[i].Crashed = true
+			if s.spec {
 				break
 			}
-			st = c.Next(st, src.Uint64())
-			switch {
-			case open:
-				x, y = c.Advance(st, x, y)
-			case blocked != nil:
-				// A none state advances in place and every world contains
-				// the origin, so only true moves can be refused.
-				if nx, ny := c.Advance(st, x, y); !blocked.Contains(nx, ny) {
-					x, y = nx, ny
-				}
-			default:
-				if c.IsOrigin(st) {
-					x, y = 0, 0
-				} else if d, ok := c.Dir(st); ok {
-					p, _ := s.world.Resolve(grid.Point{X: x, Y: y}, d)
-					x, y = p.X, p.Y
-				}
-			}
-			if stripe != nil {
-				buf[bn] = grid.Point{X: x, Y: y}
-				bn++
-				if bn == len(buf) {
-					stripe.VisitBatch(buf[:])
-					bn = 0
-				}
-			}
-			if found || !hunting {
-				continue
-			}
-			var hit bool
-			if one {
-				hit = x == t0.X && y == t0.Y
-			} else {
-				hit = targets.Hit(grid.Point{X: x, Y: y})
-			}
-			if hit {
-				found = true
-				if first == 0 || r < first {
-					first = r
-				}
-				if s.spec {
-					break
-				}
-			}
 		}
-		s.states[i] = int32(st)
-		s.posX[i], s.posY[i] = x, y
-		s.agents[i].Pos = grid.Point{X: x, Y: y}
-		s.agents[i].State = st
-		s.agents[i].Found = found
 	}
-	if stripe != nil {
-		stripe.VisitBatch(buf[:bn])
-	}
+	k.bn = bn
+	s.store(i, st, x, y, found)
 	return first
+}
+
+// store writes agent i's registers back to the swarm's arrays.
+func (s *swarm) store(i, st int, x, y int64, found bool) {
+	s.states[i] = int32(st)
+	s.posX[i], s.posY[i] = x, y
+	s.agents[i].Pos = grid.Point{X: x, Y: y}
+	s.agents[i].State = st
+	s.agents[i].Found = found
 }
 
 // specGrowth sets the length of a speculative StopOnFound segment: a
@@ -620,8 +606,8 @@ func RunRounds(cfg RoundsConfig, obs RoundObserver, seed uint64) (*RoundsResult,
 			return nil, fmt.Errorf("sim: machine family %d is nil", f)
 		}
 	}
-	if cfg.NumAgents < 1 {
-		return nil, fmt.Errorf("sim: need at least one agent, got %d", cfg.NumAgents)
+	if err := validateAgents(cfg.NumAgents); err != nil {
+		return nil, err
 	}
 	if cfg.Rounds < 1 {
 		return nil, fmt.Errorf("sim: need at least one round, got %d", cfg.Rounds)
@@ -676,15 +662,8 @@ func RunRounds(cfg RoundsConfig, obs RoundObserver, seed uint64) (*RoundsResult,
 		}
 	}
 
-	res := &RoundsResult{}
 	// An origin target is found before any round.
-	if sw.general {
-		if sw.targets.Hit(grid.Origin) {
-			res.Found = true
-		}
-	} else if cfg.HasTarget && cfg.Target == grid.Origin {
-		res.Found = true
-	}
+	res := &RoundsResult{Found: sw.targets.Hit(grid.Origin)}
 
 	// Persistent worker pool: workers are started once and synchronized
 	// with a channel segment barrier. Worker w owns agents [lo[w], hi[w])

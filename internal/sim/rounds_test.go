@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/automata"
 	"repro/internal/grid"
+	"repro/internal/rng"
 )
 
 func TestRunRoundsValidation(t *testing.T) {
@@ -182,7 +185,7 @@ func TestCoverageCurveValidation(t *testing.T) {
 // TestSegmentBatchingMatchesPerRound pins the agent-major segment kernel:
 // a batched run (no observer) must be bit-identical to the same run forced
 // into one-round segments by a no-op observer, across worker counts and
-// both stepping paths.
+// the kernel's loops.
 func TestSegmentBatchingMatchesPerRound(t *testing.T) {
 	noop := RoundObserverFunc(func(uint64, []AgentState) {})
 	cfgs := []RoundsConfig{
@@ -241,5 +244,42 @@ func TestSegmentBatchingFoundRoundExact(t *testing.T) {
 	}
 	if !res.Found || res.FoundRound != 4 || res.RoundsRun != 50 {
 		t.Fatalf("batched zigzag: %+v, want FoundRound=4 RoundsRun=50", res)
+	}
+}
+
+// allocatedBytes returns how many heap bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestEnginesRejectTooManyAgents: both engines refuse a swarm above
+// MaxAgents with ErrTooManyAgents, and do so before allocating its
+// per-agent state (a few KB at most, against hundreds of MB for the
+// smallest rejected swarm).
+func TestEnginesRejectTooManyAgents(t *testing.T) {
+	factory := walkerFactory(t)
+	m := automata.RandomWalk()
+	m.Compiled()
+	// The absurd size comes first: an engine that skipped the check would
+	// panic on it at once instead of allocating for the second.
+	for _, n := range []int{1 << 40, MaxAgents + 1} {
+		var errAsync, errRounds error
+		if b := allocatedBytes(func() {
+			_, errAsync = Run(Config{NumAgents: n, MoveBudget: 1}, factory, rng.New(1))
+		}); b > 64<<10 {
+			t.Errorf("Run(n=%d) allocated %d bytes before rejecting", n, b)
+		}
+		if b := allocatedBytes(func() {
+			_, errRounds = RunRounds(RoundsConfig{Machine: m, NumAgents: n, Rounds: 1}, nil, 1)
+		}); b > 64<<10 {
+			t.Errorf("RunRounds(n=%d) allocated %d bytes before rejecting", n, b)
+		}
+		if !errors.Is(errAsync, ErrTooManyAgents) || !errors.Is(errRounds, ErrTooManyAgents) {
+			t.Errorf("n=%d: Run error %v, RunRounds error %v; want ErrTooManyAgents", n, errAsync, errRounds)
+		}
 	}
 }

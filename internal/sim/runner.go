@@ -18,13 +18,34 @@ import (
 // synchronous engine (RunRounds) has.
 var ErrAdaptiveAsync = errors.New("sim: adaptive crash policy requires the synchronous rounds engine")
 
+// MaxAgents bounds the swarm size of one run. Both engines keep per-agent
+// state for the whole run — the rounds engine about 128 bytes an agent
+// with the fault model on, the async engine a 32-byte result slot — so a
+// run at the bound stays near 1 GiB.
+const MaxAgents = 1 << 23
+
+// ErrTooManyAgents is returned, before anything is allocated, for a run of
+// more than MaxAgents agents.
+var ErrTooManyAgents = errors.New("sim: too many agents")
+
+// validateAgents checks a run's swarm size against [1, MaxAgents].
+func validateAgents(n int) error {
+	if n < 1 {
+		return fmt.Errorf("sim: need at least one agent, got %d", n)
+	}
+	if n > MaxAgents {
+		return fmt.Errorf("%w: %d, at most %d", ErrTooManyAgents, n, MaxAgents)
+	}
+	return nil
+}
+
 // Factory builds a fresh Program instance for one agent. It is invoked once
 // per agent per trial; instances must not share mutable state.
 type Factory func() Program
 
 // Config describes one multi-agent search instance.
 type Config struct {
-	// NumAgents is the paper's n.
+	// NumAgents is the paper's n, at most MaxAgents.
 	NumAgents int
 	// Target is the target position (max-norm distance at most D in the
 	// experiments). HasTarget false with an empty Targets list runs a pure
@@ -34,9 +55,9 @@ type Config struct {
 	// Targets lists additional target points (multi-target scenarios);
 	// they combine with Target/HasTarget into one target set.
 	Targets []grid.Point
-	// World is the topology agents move on. Nil means the open plane (the
-	// engine's fast path); restricted worlds block or wrap moves. Targets
-	// must be positions of the world.
+	// World is the topology agents move on. Nil and OpenPlane{} both mean
+	// the open plane; restricted worlds block or wrap moves. Targets must
+	// be positions of the world.
 	World World
 	// DynamicWorld, when non-nil, makes the topology time-varying: each
 	// agent queries the schedule on its own clock (its k-th Markov step
@@ -114,8 +135,8 @@ type Result struct {
 // their Env and Source values across agents, so it allocates only what the
 // programs themselves allocate.
 func Run(cfg Config, factory Factory, root *rng.Source) (*Result, error) {
-	if cfg.NumAgents < 1 {
-		return nil, fmt.Errorf("sim: need at least one agent, got %d", cfg.NumAgents)
+	if err := validateAgents(cfg.NumAgents); err != nil {
+		return nil, err
 	}
 	if factory == nil {
 		return nil, errors.New("sim: nil program factory")

@@ -9,13 +9,14 @@ import (
 	"repro/internal/grid"
 )
 
-// specCases are StopOnFound configurations covering every way a run can
-// reach the kernels: the fast path, the general path on an explicit open
-// plane and on an obstacle world, 1, 8 (linear) and 12 (indexed) targets,
-// dynamic worlds and targets, a heterogeneous colony, an origin target, a
-// target never found before the horizon, and visit tracking and fault
-// models (which keep one-round segments). target shifts the single-target cases' target; a
-// case that sets NumAgents keeps it.
+// specCases are StopOnFound configurations covering every loop a run can
+// reach in the kernel: the open plane (nil and explicit), an obstacle
+// world, 1, 8 (linear) and 12 (indexed) targets, dynamic worlds and
+// targets, a heterogeneous colony, an origin target, a target never found
+// before the horizon, visit tracking and fault models (which keep
+// one-round segments), and the open plane and the obstacle world behind
+// resolveOnly (one World.Resolve call per move). target shifts the
+// single-target cases' target; a case that sets NumAgents keeps it.
 func specCases(t testing.TB, target grid.Point) []RoundsConfig {
 	biased, err := automata.BiasedWalk(0.4, 0.1, 0.1, 0.4)
 	if err != nil {
@@ -57,6 +58,8 @@ func specCases(t testing.TB, target grid.Point) []RoundsConfig {
 		{Machine: rw, NumAgents: 48, Target: grid.Point{X: 10, Y: 3}, HasTarget: true,
 			Faults: FaultModel{CrashProb: 0.005, MaxStartDelay: 10}},
 		{Machine: rw, Targets: ring(3), Faults: FaultModel{Policy: CrashNearest, CrashProb: 0.5, CrashBudget: 3, CrashEvery: 7}},
+		{Machine: rw, World: resolveOnly{OpenPlane{}}, Target: target, HasTarget: true},
+		{Machine: biased, World: resolveOnly{wall}, Target: target, HasTarget: true},
 	}
 }
 

@@ -20,9 +20,10 @@ import (
 // must not consume randomness — a world is a pure function of positions, so
 // that swapping worlds never perturbs the agents' random streams.
 //
-// A nil World everywhere in this package means the open plane and selects
-// the engines' fast paths; an explicit OpenPlane{} is the same topology
-// routed through the general (world-aware) code path.
+// A nil World everywhere in this package means the open plane, and so does
+// an explicit OpenPlane{}: each engine maps both to one representation
+// (the rounds engine to OpenPlane{}, Env to nil), so the two run the same
+// code.
 type World interface {
 	// Name returns the world's short identifier (used in errors and tables).
 	Name() string
@@ -146,7 +147,7 @@ const obstacleIndexMaxCells = 1 << 22
 // O(#rects) per step. NewObstacles additionally rasterizes the rectangles
 // into a frozen spatial index (spatial.FromRects), making membership a
 // table lookup regardless of the rectangle count — and one the rounds
-// engine's general kernel inlines; the two constructions are
+// engine's kernel inlines; the two constructions are
 // observationally identical.
 type Obstacles struct {
 	// Blocked lists the obstacle rectangles (inclusive corners). None may
@@ -213,12 +214,6 @@ func (o Obstacles) Validate() error {
 	}
 	return nil
 }
-
-// isOpenPlaneFast reports whether w selects the engines' open-plane fast
-// path: only a nil World does. An explicit OpenPlane{} deliberately routes
-// through the general path (the conformance tests use that to check the two
-// paths agree).
-func isOpenPlaneFast(w World) bool { return w == nil }
 
 // sectorWalls reports the walls of a static sector world: x reports that
 // moves to x < 0 are blocked (Quadrant), y that moves to y < 0 are

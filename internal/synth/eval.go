@@ -75,6 +75,9 @@ func (c EvalConfig) Validate() error {
 	if c.Agents < 1 {
 		return fmt.Errorf("synth: eval config needs agents ≥ 1, got %d", c.Agents)
 	}
+	if c.Agents > sim.MaxAgents {
+		return fmt.Errorf("synth: eval config agents: %w: %d, at most %d", sim.ErrTooManyAgents, c.Agents, sim.MaxAgents)
+	}
 	if c.Trials < 1 {
 		return fmt.Errorf("synth: eval config needs trials ≥ 1, got %d", c.Trials)
 	}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
@@ -196,5 +197,10 @@ func TestSearchValidation(t *testing.T) {
 	}
 	if _, err := Search(context.Background(), testSearchConfig(1), nil); err == nil {
 		t.Error("nil evaluator accepted")
+	}
+	huge := ev.Eval
+	huge.Agents = sim.MaxAgents + 1
+	if err := huge.Validate(); !errors.Is(err, sim.ErrTooManyAgents) {
+		t.Errorf("agents above sim.MaxAgents: %v, want ErrTooManyAgents", err)
 	}
 }
