@@ -482,7 +482,6 @@ const (
 const (
 	JobKindSweep    = service.KindSweep
 	JobKindScenario = service.KindScenario
-	JobKindSynth    = service.KindSynth
 )
 
 // NewService builds and starts a simulation service: the worker pool is
@@ -514,29 +513,27 @@ func LoadOrCreateWorkerID(dir string) (string, error) {
 // digits) without persisting it.
 func NewWorkerID() (string, error) { return service.NewWorkerID() }
 
-// Distributed sweep execution (the cluster layer): a coordinator shards a
-// registered sweep across a fleet of antsimd workers, survives worker
-// failures by reassigning shards, steals the tail shard from stragglers,
-// federates the content-addressed cache, and merges artifacts
-// byte-identical to a local run. See DESIGN.md §8.
+// Distributed grid execution (the cluster layer): a coordinator shards a
+// registered sweep or a synthesis batch across a fleet of antsimd
+// workers, survives worker failures by reassigning shards, steals the
+// tail shard from stragglers, federates the content-addressed cache, and
+// merges artifacts byte-identical to a local run. See DESIGN.md §8.
 type (
 	// Cluster is a coordinator over a fixed antsimd worker fleet; its
-	// Dispatch method runs registered sweeps across the fleet.
+	// Dispatch method runs a grid, named by a shard JobSpec without
+	// points, across the fleet.
 	Cluster = cluster.Cluster
 	// ClusterConfig parameterizes a Cluster: fleet URLs, shard size,
 	// coordinator cache, heartbeat policy.
 	ClusterConfig = cluster.Config
-	// ClusterRequest names one distributed sweep run (sweep id, quick,
-	// seed, progress callback).
-	ClusterRequest = cluster.Request
 	// ClusterProgress is one distributed-run progress event: a grid point
 	// merged from the coordinator cache or from a worker shard.
 	ClusterProgress = cluster.Progress
 	// ClusterStats is the distribution accounting of one dispatch
 	// (shards, reassignments, steals, cache provenance).
 	ClusterStats = cluster.Stats
-	// Dispatch is the outcome of one distributed sweep run: the merged
-	// report — byte-identical to a local run's — plus ClusterStats.
+	// Dispatch is the outcome of one distributed run: the merged report
+	// — byte-identical to a local run's — plus ClusterStats.
 	Dispatch = cluster.Dispatch
 	// ServiceDistributor is the hook an antsimd daemon uses to execute
 	// sweep jobs across a fleet instead of locally (Service.SetDistributor).
@@ -550,7 +547,7 @@ type (
 )
 
 // NewCluster validates the fleet and returns a coordinator for
-// distributed sweep runs.
+// distributed sweep and synthesis runs.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return cluster.New(cfg)
 }
@@ -590,7 +587,7 @@ type (
 	// layer and its cache.
 	SynthLocalEvaluator = synth.LocalEvaluator
 	// ClusterSynthEvaluator fans candidate batches across an antsimd
-	// fleet as synth jobs.
+	// fleet as shard jobs over inline evaluation grids.
 	ClusterSynthEvaluator = cluster.SynthEvaluator
 )
 

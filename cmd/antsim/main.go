@@ -72,6 +72,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/rng"
 	"repro/internal/scenario"
+	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/sweep"
@@ -345,21 +346,16 @@ func runSweep(id string, cfg experiment.Config, fleet, outPrefix string, out io.
 			return err
 		}
 		fmt.Fprintf(out, "fleet:       %s\n", strings.Join(c.Workers(), ", "))
-		d, err := c.Dispatch(ctx, cluster.Request{
-			Sweep:   sp.Name,
-			Quick:   cfg.Quick,
-			Seed:    cfg.Seed,
-			Workers: cfg.Workers,
-			Progress: func(p cluster.Progress) {
-				status := "computed by " + p.Worker
-				switch {
-				case p.Worker == "":
-					status = "local cache"
-				case p.Cached:
-					status = "cached on " + p.Worker
-				}
-				progressLine(p.Done, p.Total, p.Point, status)
-			},
+		spec := service.JobSpec{Kind: service.KindShard, Sweep: sp.Name, Quick: cfg.Quick, Seed: cfg.Seed, Workers: cfg.Workers}
+		d, err := c.Dispatch(ctx, spec, func(p cluster.Progress) {
+			status := "computed by " + p.Worker
+			switch {
+			case p.Worker == "":
+				status = "local cache"
+			case p.Cached:
+				status = "cached on " + p.Worker
+			}
+			progressLine(p.Done, p.Total, p.Point, status)
 		})
 		if err != nil {
 			return err

@@ -1,18 +1,25 @@
-// Package cluster is the distributed sweep execution layer: a coordinator
-// that splits an experiment grid across a fleet of remote antsimd workers
-// and merges their per-point results into a report byte-identical to a
-// local `antsim -sweep` run.
+// Package cluster is the distributed grid execution layer: a coordinator
+// that splits a grid — a registered sweep, or the synthesis evaluation
+// grid over a batch of candidate machines — across a fleet of remote
+// antsimd workers and merges their per-point results into a report
+// byte-identical to a local run (`antsim -sweep`, or a local synthesis
+// search).
 //
 // The moving parts:
 //
 //   - Cluster holds a fleet (worker base URLs) and the dispatch policy
 //     (shard size, heartbeat cadence, coordinator cache).
+//   - Cluster.Dispatch is the one entry point. It takes the grid as a
+//     service.JobSpec of kind shard without points, resolved and
+//     validated by the same service code the workers run.
 //   - Dispatch is the outcome of one distributed run: the merged
 //     sweep.Report plus distribution accounting (shards, reassignments,
 //     steals, cache provenance).
 //   - Shards are contiguous chunks of cache-miss grid-point indexes,
 //     executed remotely as KindShard jobs (internal/service) through
 //     sweep.RunPoints on each worker.
+//   - NewDistributor and SynthEvaluator adapt Dispatch to the service
+//     layer's sweep jobs and to the synthesis search.
 //
 // Fault model: a worker that stops answering (transport error, or
 // HeartbeatMisses consecutive failed liveness probes while a shard is in
@@ -34,8 +41,8 @@
 // driving warm workers ships point indexes and receives results as pure
 // metadata, with zero kernel calls anywhere.
 //
-// Determinism contract: the merged report is a function of (sweep, quick,
-// seed) only — never of fleet size, shard boundaries, worker failures,
+// Determinism contract: the merged report is a function of the grid and
+// the seed only — never of fleet size, shard boundaries, worker failures,
 // steals, or cache state. This is inherited from the sweep layer's
 // per-point determinism (seeds derive from point parameters, not
 // expansion order) and pinned by the conformance tests.
@@ -50,11 +57,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/experiment"
 	"repro/internal/monitor"
 	"repro/internal/service"
 	"repro/internal/sweep"
-	"repro/internal/synth"
 )
 
 // Config parameterizes a Cluster.
@@ -90,7 +95,7 @@ type Config struct {
 }
 
 // Cluster is a coordinator over a fixed worker fleet. Build one with New;
-// its Dispatch method runs registered sweeps across the fleet. A Cluster
+// its Dispatch method runs grids across the fleet. A Cluster
 // is stateless between dispatches and safe for sequential reuse.
 type Cluster struct {
 	cfg     Config
@@ -130,23 +135,6 @@ func New(cfg Config) (*Cluster, error) {
 // Workers returns the normalized fleet.
 func (c *Cluster) Workers() []string {
 	return append([]string(nil), c.workers...)
-}
-
-// Request names one distributed sweep run.
-type Request struct {
-	// Sweep is the registered sweep id ("e1", "e5", "s1", "s2").
-	Sweep string
-	// Quick shrinks the grid and trial counts (antsim -quick).
-	Quick bool
-	// Seed is the sweep's root seed.
-	Seed uint64
-	// Workers bounds each shard job's internal concurrency on its worker
-	// (0 = the worker's GOMAXPROCS). Results never depend on it.
-	Workers int
-	// Progress, when non-nil, receives one event per merged grid point. It
-	// is called from coordinator goroutines and must be safe for
-	// concurrent use.
-	Progress func(Progress)
 }
 
 // Progress is one distributed-run progress event: a grid point was merged
@@ -190,9 +178,9 @@ type Stats struct {
 	RemoteHits int
 }
 
-// Dispatch is the outcome of one distributed sweep run: the merged report
-// — identical to what a local run of the same (sweep, quick, seed)
-// produces — plus the distribution accounting.
+// Dispatch is the outcome of one distributed run: the merged report —
+// identical to what a local run of the same grid and seed produces —
+// plus the distribution accounting.
 type Dispatch struct {
 	// Report is the merged sweep report, one point per grid cell in
 	// expansion order.
@@ -222,6 +210,15 @@ type shardState struct {
 
 // dispatcher is the shared coordination state of one Dispatch call.
 type dispatcher struct {
+	// spec is the validated shard spec without points; each shipped
+	// shard is spec with Points set.
+	spec service.JobSpec
+	// grid is the expanded grid; points its expansion.
+	grid     sweep.Grid
+	points   []sweep.Point
+	progress func(Progress) // nil: no progress events
+	cache    *sweep.Cache   // coordinator cache, nil when disabled
+
 	mu   sync.Mutex
 	cond *sync.Cond
 
@@ -238,132 +235,46 @@ type dispatcher struct {
 	st Stats
 }
 
-// plan is the kind-agnostic description of one distributed run: the grid
-// whose points are dispatched, how to build the worker job for a set of
-// point indexes, and the run's identity for cache keys and messages. The
-// dispatcher below is generic over it — sweep shards (Dispatch) and
-// synthesis evaluations (DispatchSynth) share every mechanism: heartbeat
-// failure detection, requeue, backpressure, work stealing, cache
-// federation, and the exactly-once merge.
-type plan struct {
-	// label names the run in error messages ("sweep \"e1\"", "synth eval").
-	label string
-	// grid is the expanded grid; points its expansion.
-	grid   sweep.Grid
-	points []sweep.Point
-	// seed keys the coordinator cache.
-	seed uint64
-	// makeSpec builds the worker job computing the given point indexes.
-	makeSpec func(idxs []int) service.JobSpec
-	// progress, when non-nil, receives one event per merged point.
-	progress func(Progress)
-}
-
-// Dispatch runs one registered sweep across the fleet and returns the
-// merged report plus distribution accounting. Cancellation via ctx drains
-// the fleet: in-flight shard jobs are cancelled remotely at their next
-// grid-point boundary before Dispatch returns ctx's error.
-func (c *Cluster) Dispatch(ctx context.Context, req Request) (*Dispatch, error) {
-	sp, err := experiment.LookupSweep(req.Sweep)
-	if err != nil {
-		return nil, err
-	}
-	g := sp.Grid(experiment.Config{Seed: req.Seed, Quick: req.Quick})
-	return c.dispatch(ctx, plan{
-		label:  fmt.Sprintf("sweep %q", req.Sweep),
-		grid:   g,
-		points: g.Points(),
-		seed:   req.Seed,
-		makeSpec: func(idxs []int) service.JobSpec {
-			return service.JobSpec{
-				Kind:    service.KindShard,
-				Sweep:   req.Sweep,
-				Quick:   req.Quick,
-				Seed:    req.Seed,
-				Workers: req.Workers,
-				Points:  idxs,
-			}
-		},
-		progress: req.Progress,
-	})
-}
-
-// SynthRequest names one distributed synthesis evaluation: a batch of
-// candidate machine specs (canonical compact JSON, no duplicates) scored
-// on the synth evaluation grid across the fleet.
-type SynthRequest struct {
-	// Specs are the candidates, as synth.CompactJSON strings.
-	Specs []string
-	// Eval is the fully explicit scoring configuration (apply
-	// synth.EvalConfig.WithDefaults first); coordinator and workers must
-	// expand identical grids.
-	Eval synth.EvalConfig
-	// Seed is the evaluation seed (the search seed).
-	Seed uint64
-	// Workers bounds each job's internal concurrency on its worker.
-	// Results never depend on it.
-	Workers int
-	// Progress, when non-nil, receives one event per merged point.
-	Progress func(Progress)
-}
-
-// DispatchSynth scores one candidate batch across the fleet as KindSynth
-// jobs and returns the merged per-point report — byte-identical to what
-// a local synth.LocalEvaluator run of the same (batch, seed) computes —
-// plus distribution accounting. All of Dispatch's fault handling and
-// cache federation applies unchanged.
-func (c *Cluster) DispatchSynth(ctx context.Context, req SynthRequest) (*Dispatch, error) {
-	if err := req.Eval.Validate(); err != nil {
-		return nil, err
-	}
-	g := synth.EvalGrid(req.Specs, req.Eval)
-	return c.dispatch(ctx, plan{
-		label:  "synth eval",
-		grid:   g,
-		points: g.Points(),
-		seed:   req.Seed,
-		makeSpec: func(idxs []int) service.JobSpec {
-			return service.JobSpec{
-				Kind:              service.KindSynth,
-				Seed:              req.Seed,
-				Workers:           req.Workers,
-				Points:            idxs,
-				SynthSpecs:        req.Specs,
-				SynthDs:           req.Eval.Ds,
-				SynthAgents:       req.Eval.Agents,
-				Trials:            req.Eval.Trials,
-				SynthBudgetFactor: req.Eval.BudgetFactor,
-			}
-		},
-		progress: req.Progress,
-	})
-}
-
-// dispatch is the shared coordinator core: phase-1 local cache consult,
-// phase-2 shard fan-out over the fleet, exactly-once merge.
-func (c *Cluster) dispatch(ctx context.Context, pl plan) (*Dispatch, error) {
+// Dispatch runs every point of one grid across the fleet and returns the
+// merged report plus distribution accounting. spec names the grid the
+// way a worker's shard job does — a service.KindShard spec without
+// points, over a registered sweep or an inline synthesis grid — and is
+// checked with the worker's own Validate before anything ships, so a
+// spec every worker would refuse fails here instead of looking like a
+// dead fleet. Each shipped shard is spec with Points set. progress, when
+// non-nil, receives one event per merged grid point; it is called from
+// coordinator goroutines and must be safe for concurrent use.
+// Cancellation via ctx drains the fleet: in-flight shard jobs are
+// cancelled remotely at their next grid-point boundary before Dispatch
+// returns ctx's error.
+func (c *Cluster) Dispatch(ctx context.Context, spec service.JobSpec, progress func(Progress)) (*Dispatch, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	g := pl.grid
-	if err := g.Validate(); err != nil {
+	if spec.Kind != service.KindShard || len(spec.Points) != 0 {
+		return nil, fmt.Errorf("cluster: dispatch needs a %q spec without points, got kind %q with %d points", service.KindShard, spec.Kind, len(spec.Points))
+	}
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	points := pl.points
-
-	var cache *sweep.Cache
+	g, _, _, err := spec.Grid()
+	if err != nil {
+		return nil, err
+	}
+	points := g.Points()
+	d := &dispatcher{
+		spec:     spec,
+		grid:     g,
+		points:   points,
+		progress: progress,
+		results:  make([]sweep.PointResult, len(points)),
+		filled:   make([]bool, len(points)),
+		live:     len(c.workers),
+	}
 	if c.cfg.CacheDir != "" {
-		var err error
-		cache, err = sweep.NewCache(c.cfg.CacheDir)
-		if err != nil {
+		if d.cache, err = sweep.NewCache(c.cfg.CacheDir); err != nil {
 			return nil, err
 		}
-	}
-
-	d := &dispatcher{
-		results: make([]sweep.PointResult, len(points)),
-		filled:  make([]bool, len(points)),
-		live:    len(c.workers),
 	}
 	d.cond = sync.NewCond(&d.mu)
 	d.st.Workers = len(c.workers)
@@ -372,14 +283,14 @@ func (c *Cluster) dispatch(ctx context.Context, pl plan) (*Dispatch, error) {
 	// Phase 1: consult the coordinator cache; only misses are shipped.
 	var pending []int
 	for i, p := range points {
-		if cache != nil && c.cfg.Resume {
-			if res, ok := cache.Get(sweep.KeyFor(g, p, pl.seed)); ok {
+		if d.cache != nil && c.cfg.Resume {
+			if res, ok := d.cache.Get(sweep.KeyFor(g, p, spec.Seed)); ok {
 				d.results[i] = sweep.PointResult{Point: p, Cached: true, Result: res}
 				d.filled[i] = true
 				d.st.LocalHits++
 				d.done++
-				if pl.progress != nil {
-					pl.progress(Progress{Done: d.done, Total: len(points), Point: p, Cached: true})
+				if progress != nil {
+					progress(Progress{Done: d.done, Total: len(points), Point: p, Cached: true})
 				}
 				continue
 			}
@@ -417,7 +328,7 @@ func (c *Cluster) dispatch(ctx context.Context, pl plan) (*Dispatch, error) {
 			wg.Add(1)
 			go func(addr string) {
 				defer wg.Done()
-				c.runWorker(ctx, d, addr, pl, cache)
+				c.runWorker(ctx, d, addr)
 			}(w)
 		}
 		wg.Wait()
@@ -427,7 +338,7 @@ func (c *Cluster) dispatch(ctx context.Context, pl plan) (*Dispatch, error) {
 			return nil, d.abort
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("cluster: dispatch of %s cancelled: %w", pl.label, err)
+			return nil, fmt.Errorf("cluster: dispatch of grid %q cancelled: %w", g.Name, err)
 		}
 	}
 
@@ -442,7 +353,7 @@ func (c *Cluster) dispatch(ctx context.Context, pl plan) (*Dispatch, error) {
 	sort.Strings(d.st.Failed)
 	rep := &sweep.Report{
 		Grid:       g,
-		Seed:       pl.seed,
+		Seed:       spec.Seed,
 		Points:     d.results,
 		CacheHits:  d.st.LocalHits + d.st.RemoteHits,
 		Computed:   len(points) - d.st.LocalHits - d.st.RemoteHits,
@@ -461,7 +372,7 @@ const backpressureLimit = 40
 // until the run completes, the worker dies, or the dispatch aborts. A
 // worker answering 503 is busy, not dead: its shard is requeued for the
 // fleet and this loop backs off briefly before claiming again.
-func (c *Cluster) runWorker(ctx context.Context, d *dispatcher, addr string, pl plan, cache *sweep.Cache) {
+func (c *Cluster) runWorker(ctx context.Context, d *dispatcher, addr string) {
 	client := service.NewClient(addr)
 	busy := 0
 	for {
@@ -469,7 +380,7 @@ func (c *Cluster) runWorker(ctx context.Context, d *dispatcher, addr string, pl 
 		if at == nil {
 			return
 		}
-		dead, backpressure := c.runAttempt(ctx, d, client, at, pl, cache)
+		dead, backpressure := c.runAttempt(ctx, d, client, at)
 		if backpressure {
 			if busy++; busy < backpressureLimit {
 				// Back off, but not past a cancelled dispatch: next
@@ -607,7 +518,7 @@ func dropAttemptLocked(at *attempt) {
 // runAttempt executes one shard attempt end to end: submit the shard job,
 // watch the worker's liveness, wait for the terminal state, fetch and
 // merge the artifact. It reports whether the worker must be declared dead.
-func (c *Cluster) runAttempt(ctx context.Context, d *dispatcher, client *service.Client, at *attempt, pl plan, cache *sweep.Cache) (dead, backpressure bool) {
+func (c *Cluster) runAttempt(ctx context.Context, d *dispatcher, client *service.Client, at *attempt) (dead, backpressure bool) {
 	defer at.cancel()
 
 	// Heartbeat watchdog: probe liveness while the shard is in flight;
@@ -645,7 +556,9 @@ func (c *Cluster) runAttempt(ctx context.Context, d *dispatcher, client *service
 		}
 	}()
 
-	job, err := client.Submit(at.ctx, pl.makeSpec(at.shard.indexes))
+	spec := d.spec
+	spec.Points = at.shard.indexes
+	job, err := client.Submit(at.ctx, spec)
 	if err == nil {
 		d.mu.Lock()
 		at.jobID = job.ID
@@ -668,14 +581,14 @@ func (c *Cluster) runAttempt(ctx context.Context, d *dispatcher, client *service
 	}
 	art, err := service.ParseShardArtifact(data)
 	if err == nil {
-		err = verifyShardArtifact(art, at.shard.indexes, pl.grid, pl.points)
+		err = verifyShardArtifact(art, at.shard.indexes, d.grid, d.points)
 	}
 	if err != nil {
 		// A malformed or mismatched artifact is indistinguishable from a
 		// corrupt worker; requeue the shard elsewhere.
 		return d.attemptFailed(ctx, client, at, err)
 	}
-	d.commit(at, art, pl, cache)
+	d.commit(at, art)
 	return false, false
 }
 
@@ -782,8 +695,8 @@ func verifyShardArtifact(art *service.ShardArtifact, idxs []int, g sweep.Grid, p
 // commit merges a completed shard into the run: fill-once per point,
 // write-back to the coordinator cache, progress events, and cancellation
 // of any losing duplicate attempts.
-func (d *dispatcher) commit(at *attempt, art *service.ShardArtifact, pl plan, cache *sweep.Cache) {
-	total := len(pl.points)
+func (d *dispatcher) commit(at *attempt, art *service.ShardArtifact) {
+	total := len(d.points)
 	type merged struct {
 		pr   sweep.PointResult
 		done int
@@ -808,7 +721,7 @@ func (d *dispatcher) commit(at *attempt, art *service.ShardArtifact, pl plan, ca
 			continue // impossible for disjoint shards; guarded anyway
 		}
 		d.filled[sp.Index] = true
-		pr := sweep.PointResult{Point: pl.points[sp.Index], Cached: sp.Cached, Result: sp.Result}
+		pr := sweep.PointResult{Point: d.points[sp.Index], Cached: sp.Cached, Result: sp.Result}
 		d.results[sp.Index] = pr
 		if sp.Cached {
 			d.st.RemoteHits++
@@ -825,13 +738,13 @@ func (d *dispatcher) commit(at *attempt, art *service.ShardArtifact, pl plan, ca
 		l.cancel()
 	}
 	for _, m := range newly {
-		if cache != nil {
+		if d.cache != nil {
 			// Write-back keeps the federation warm; a full disk costs only
 			// the warmth, never the run.
-			_ = cache.Put(sweep.KeyFor(pl.grid, m.pr.Point, pl.seed), m.pr.Result)
+			_ = d.cache.Put(sweep.KeyFor(d.grid, m.pr.Point, d.spec.Seed), m.pr.Result)
 		}
-		if pl.progress != nil {
-			pl.progress(Progress{Done: m.done, Total: total, Point: m.pr.Point, Worker: at.worker, Cached: m.pr.Cached})
+		if d.progress != nil {
+			d.progress(Progress{Done: m.done, Total: total, Point: m.pr.Point, Worker: at.worker, Cached: m.pr.Cached})
 		}
 	}
 }

@@ -70,6 +70,12 @@ func fleetURLs(ws []*testWorker) []string {
 	return urls
 }
 
+// quickSweep is the shard spec of a registered sweep's quick grid, the
+// way Dispatch takes it.
+func quickSweep(id string, seed uint64) service.JobSpec {
+	return service.JobSpec{Kind: service.KindShard, Sweep: id, Quick: true, Seed: seed}
+}
+
 // localOracle runs the sweep single-process, exactly like `antsim -sweep`,
 // and returns its summary.
 func localOracle(t *testing.T, id string, seed uint64) *sweep.Summary {
@@ -172,7 +178,7 @@ func TestDistributedSweepByteIdenticalToLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	audit := newProgressAudit()
-	d, err := c.Dispatch(context.Background(), Request{Sweep: "s2", Quick: true, Seed: 1, Progress: audit.cb})
+	d, err := c.Dispatch(context.Background(), quickSweep("s2", 1), audit.cb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +218,7 @@ func TestDistributedDynamicSweepByteIdenticalToLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	audit := newProgressAudit()
-	d, err := c.Dispatch(context.Background(), Request{Sweep: "s3", Quick: true, Seed: 11, Progress: audit.cb})
+	d, err := c.Dispatch(context.Background(), quickSweep("s3", 11), audit.cb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +259,7 @@ func TestChaosWorkerKilledMidSweep(t *testing.T) {
 			srv.Close()
 		}
 	}
-	d, err := c.Dispatch(context.Background(), Request{Sweep: "s2", Quick: true, Seed: 1, Progress: audit.cb})
+	d, err := c.Dispatch(context.Background(), quickSweep("s2", 1), audit.cb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,8 +285,8 @@ func TestCacheFederationWarmCoordinator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := Request{Sweep: "s1", Quick: true, Seed: 2}
-	first, err := c.Dispatch(context.Background(), req)
+	req := quickSweep("s1", 2)
+	first, err := c.Dispatch(context.Background(), req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +307,7 @@ func TestCacheFederationWarmCoordinator(t *testing.T) {
 	}
 	before := kernelCalls()
 
-	second, err := c.Dispatch(context.Background(), req)
+	second, err := c.Dispatch(context.Background(), req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,8 +335,8 @@ func TestCacheFederationColdCoordinatorWarmWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := Request{Sweep: "s1", Quick: true, Seed: 3}
-	if _, err := warmup.Dispatch(context.Background(), req); err != nil {
+	req := quickSweep("s1", 3)
+	if _, err := warmup.Dispatch(context.Background(), req, nil); err != nil {
 		t.Fatal(err)
 	}
 	kernelCalls := func() int64 {
@@ -348,7 +354,7 @@ func TestCacheFederationColdCoordinatorWarmWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := cold.Dispatch(context.Background(), req)
+	d, err := cold.Dispatch(context.Background(), req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +371,7 @@ func TestCacheFederationColdCoordinatorWarmWorkers(t *testing.T) {
 	assertSummariesByteIdentical(t, d.Report.Summary(), localOracle(t, "s1", 3))
 
 	// The shipped metadata warmed the coordinator: a re-run ships nothing.
-	again, err := cold.Dispatch(context.Background(), req)
+	again, err := cold.Dispatch(context.Background(), req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +414,7 @@ func TestWorkStealingReassignsStraggler(t *testing.T) {
 		t.Fatal(err)
 	}
 	audit := newProgressAudit()
-	d, err := c.Dispatch(context.Background(), Request{Sweep: "s1", Quick: true, Seed: 4, Progress: audit.cb})
+	d, err := c.Dispatch(context.Background(), quickSweep("s1", 4), audit.cb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +444,7 @@ func TestHeartbeatFeedsHealthMonitor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Dispatch(context.Background(), Request{Sweep: "s1", Quick: true, Seed: 3}); err != nil {
+	if _, err := c.Dispatch(context.Background(), quickSweep("s1", 3), nil); err != nil {
 		t.Fatal(err)
 	}
 	wantSeries := "fleet_rtt:" + w.srv.URL
@@ -459,7 +465,7 @@ func TestDispatchAbortsWhenAllWorkersDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Dispatch(context.Background(), Request{Sweep: "s1", Quick: true, Seed: 1})
+	_, err = c.Dispatch(context.Background(), quickSweep("s1", 1), nil)
 	if err == nil || !strings.Contains(err.Error(), "all 1 workers failed") {
 		t.Fatalf("err = %v, want all-workers-failed", err)
 	}
@@ -475,9 +481,9 @@ func TestDispatchCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
-	_, err = c.Dispatch(ctx, Request{Sweep: "s2", Quick: true, Seed: 5, Progress: func(p Progress) {
+	_, err = c.Dispatch(ctx, quickSweep("s2", 5), func(p Progress) {
 		once.Do(cancel) // cancel as soon as the first point merges
-	}})
+	})
 	if err == nil || !strings.Contains(err.Error(), "cancelled") {
 		t.Fatalf("err = %v, want cancellation", err)
 	}
@@ -523,15 +529,27 @@ func TestNewValidatesFleet(t *testing.T) {
 	}
 }
 
-// TestDispatchRejectsUnknownSweep: registry errors surface before any
-// worker is contacted.
+// TestDispatchRejectsUnknownSweep: registry errors, and specs that are
+// not a shard spec without points, surface before any worker is
+// contacted.
 func TestDispatchRejectsUnknownSweep(t *testing.T) {
 	c, err := New(Config{Workers: []string{"127.0.0.1:9"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Dispatch(context.Background(), Request{Sweep: "nope"}); err == nil || !strings.Contains(err.Error(), "unknown sweep") {
-		t.Errorf("err = %v, want unknown sweep", err)
+	withPoints := quickSweep("s1", 1)
+	withPoints.Points = []int{0}
+	for _, tc := range []struct {
+		spec service.JobSpec
+		want string
+	}{
+		{service.JobSpec{Kind: service.KindShard, Sweep: "nope"}, "unknown sweep"},
+		{service.JobSpec{Kind: service.KindSweep, Sweep: "s1", Quick: true}, "without points"},
+		{withPoints, "without points"},
+	} {
+		if _, err := c.Dispatch(context.Background(), tc.spec, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Dispatch(%+v) = %v, want %q", tc.spec, err, tc.want)
+		}
 	}
 }
 
@@ -554,7 +572,7 @@ func TestKernelFailureAbortsDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Dispatch(context.Background(), Request{Sweep: "s1", Quick: true, Seed: 1})
+	_, err = c.Dispatch(context.Background(), quickSweep("s1", 1), nil)
 	if err == nil {
 		t.Fatal("dispatch with a failing worker kernel returned nil error")
 	}
@@ -626,7 +644,7 @@ func TestBackpressureDoesNotKillWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.Dispatch(context.Background(), Request{Sweep: "s2", Quick: true, Seed: 1})
+	d, err := c.Dispatch(context.Background(), quickSweep("s2", 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,11 @@ import (
 )
 
 // newOneShardDispatcher returns a dispatcher over a one-point grid split
-// into a single queued shard, plus the plan a commit of it needs.
-func newOneShardDispatcher(workers int) (*dispatcher, plan) {
+// into a single queued shard.
+func newOneShardDispatcher(workers int) *dispatcher {
 	sh := &shardState{indexes: []int{0}}
 	d := &dispatcher{
+		points:  make([]sweep.Point, 1),
 		queue:   []*shardState{sh},
 		shards:  []*shardState{sh},
 		undone:  1,
@@ -26,7 +27,7 @@ func newOneShardDispatcher(workers int) (*dispatcher, plan) {
 		filled:  make([]bool, 1),
 	}
 	d.cond = sync.NewCond(&d.mu)
-	return d, plan{points: make([]sweep.Point, 1)}
+	return d
 }
 
 // nextAsync runs d.next for worker in a goroutine and delivers its result.
@@ -41,7 +42,7 @@ func nextAsync(ctx context.Context, d *dispatcher, worker string, stealAfter tim
 // ends the run, and the blocked worker must return nil at once rather
 // than sleep until the candidate ripens.
 func TestNextWakesOnCommit(t *testing.T) {
-	d, pl := newOneShardDispatcher(2)
+	d := newOneShardDispatcher(2)
 	ctx := context.Background()
 	at := d.next(ctx, "a", time.Hour)
 	if at == nil {
@@ -54,7 +55,7 @@ func TestNextWakesOnCommit(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	d.commit(at, &service.ShardArtifact{Points: []service.ShardPoint{{Index: 0}}}, pl, nil)
+	d.commit(at, &service.ShardArtifact{Points: []service.ShardPoint{{Index: 0}}})
 	select {
 	case b := <-got:
 		if b != nil {
@@ -70,7 +71,7 @@ func TestNextWakesOnCommit(t *testing.T) {
 // with a steal of the straggling shard no earlier than stealAfter.
 func TestNextStealsWhenCandidateRipens(t *testing.T) {
 	const stealAfter = 30 * time.Millisecond
-	d, _ := newOneShardDispatcher(2)
+	d := newOneShardDispatcher(2)
 	ctx := context.Background()
 	at := d.next(ctx, "a", stealAfter)
 	if at == nil {
@@ -121,7 +122,7 @@ func TestBackpressureBackoffHonoursCancel(t *testing.T) {
 		cancelledAt <- time.Now()
 		cancel()
 	}()
-	_, err = c.Dispatch(ctx, Request{Sweep: "s1", Quick: true, Seed: 1})
+	_, err = c.Dispatch(ctx, quickSweep("s1", 1), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

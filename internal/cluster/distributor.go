@@ -35,13 +35,8 @@ func NewDistributor(workers func() []string, cacheDir string, health *monitor.Mo
 				progress(sweep.Progress{Done: cp.Done, Total: cp.Total, Point: cp.Point, Cached: cp.Cached})
 			}
 		}
-		d, err := c.Dispatch(ctx, Request{
-			Sweep:    spec.Sweep,
-			Quick:    spec.Quick,
-			Seed:     spec.Seed,
-			Workers:  spec.Workers,
-			Progress: p,
-		})
+		spec.Kind = service.KindShard // the sweep job's grid, shipped as shards
+		d, err := c.Dispatch(ctx, spec, p)
 		if err != nil {
 			return nil, true, err
 		}

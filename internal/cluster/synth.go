@@ -4,14 +4,15 @@ import (
 	"context"
 	"sync"
 
+	"repro/internal/service"
 	"repro/internal/synth"
 )
 
 // SynthEvaluator adapts a Cluster to synth.Evaluator: each candidate
-// batch the search proposes is scored across the fleet via DispatchSynth
-// and folded back into curves with the same fold the local evaluator
-// uses — so a fleet-driven search replays the exact trajectory of a
-// local one, point for point and byte for byte.
+// batch the search proposes is dispatched across the fleet as the inline
+// synth grid of a shard spec and folded back into curves with the same
+// fold the local evaluator uses — so a fleet-driven search replays the
+// exact trajectory of a local one, point for point and byte for byte.
 type SynthEvaluator struct {
 	// Cluster executes the batches.
 	Cluster *Cluster
@@ -34,13 +35,16 @@ var _ synth.Evaluator = (*SynthEvaluator)(nil)
 // Evaluate implements synth.Evaluator by fanning the batch across the
 // fleet.
 func (e *SynthEvaluator) Evaluate(ctx context.Context, specs []string) ([]*synth.Curve, error) {
-	d, err := e.Cluster.DispatchSynth(ctx, SynthRequest{
-		Specs:    specs,
-		Eval:     e.Eval,
-		Seed:     e.Seed,
-		Workers:  e.Workers,
-		Progress: e.Progress,
-	})
+	d, err := e.Cluster.Dispatch(ctx, service.JobSpec{
+		Kind:              service.KindShard,
+		SynthSpecs:        specs,
+		SynthDs:           e.Eval.Ds,
+		SynthAgents:       e.Eval.Agents,
+		Trials:            e.Eval.Trials,
+		SynthBudgetFactor: e.Eval.BudgetFactor,
+		Seed:              e.Seed,
+		Workers:           e.Workers,
+	}, e.Progress)
 	if err != nil {
 		return nil, err
 	}

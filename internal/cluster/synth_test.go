@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/service"
@@ -66,31 +67,56 @@ func TestSynthFleetMatchesLocalSearch(t *testing.T) {
 	}
 }
 
-// TestDispatchSynthValidation pins the request error cases: an invalid
-// eval config and an unbuildable candidate are rejected before any
-// worker sees a job.
-func TestDispatchSynthValidation(t *testing.T) {
-	ws := startFleet(t, 1)
+// TestSynthEvaluateRejectsInvalidBatch: a batch every worker would
+// refuse fails Evaluate with the worker's own validation error before
+// anything ships — no shard, no worker marked failed — instead of
+// reading each worker's 400 as a dead worker.
+func TestSynthEvaluateRejectsInvalidBatch(t *testing.T) {
+	valid := `{"states":[{"name":"s0","label":"up"}],"start":"s0","edges":[{"from":"s0","to":"s0","p":1}]}`
+	// The edge probabilities out of s0 sum to 0.5.
+	unbuildable := `{"states":[{"name":"s0","label":"up"},{"name":"s1","label":"right"}],"start":"s0","edges":[{"from":"s0","to":"s1","p":0.5},{"from":"s1","to":"s0","p":1}]}`
+	eval := synth.EvalConfig{Ds: []int64{4}, Agents: 2, Trials: 3, BudgetFactor: 2}
+	ws := startFleet(t, 2)
 	c, err := New(Config{Workers: fleetURLs(ws)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.DispatchSynth(context.Background(), SynthRequest{
-		Specs: []string{`{"states":[{"name":"s0","label":"up"}],"start":"s0","edges":[{"from":"s0","to":"s0","p":1}]}`},
-	}); err == nil {
-		t.Error("empty eval config accepted")
+	for _, tc := range []struct {
+		name  string
+		eval  synth.EvalConfig
+		specs []string
+		want  string
+	}{
+		{"empty eval config", synth.EvalConfig{}, []string{valid}, "at least one distance"},
+		{"unbuildable candidate", eval, []string{valid, unbuildable}, "synth candidate 1"},
+		{"repeated candidate", eval, []string{valid, valid}, "repeats value"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ev := &SynthEvaluator{Cluster: c, Eval: tc.eval, Seed: 1}
+			if _, err := ev.Evaluate(context.Background(), tc.specs); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Evaluate = %v, want an error containing %q", err, tc.want)
+			}
+			if st := ev.Stats(); st.Shards != 0 || st.Shipped != 0 || len(st.Failed) != 0 {
+				t.Errorf("stats after a refused batch = %+v, want 0 shards shipped and 0 workers failed", st)
+			}
+			for _, w := range ws {
+				if jobs := w.svc.Jobs(); len(jobs) != 0 {
+					t.Errorf("worker %s received %d jobs", w.srv.URL, len(jobs))
+				}
+			}
+		})
 	}
 }
 
-// TestSynthJobOnWorker runs one KindSynth job end-to-end against a real
-// in-process worker daemon through the service client, checking the job
-// reaches done with the grid fully evaluated.
+// TestSynthJobOnWorker runs one shard job over an inline synth grid
+// end-to-end against a real in-process worker daemon through the service
+// client, checking the job reaches done with the grid fully evaluated.
 func TestSynthJobOnWorker(t *testing.T) {
 	w := startWorker(t, service.Config{CacheDir: t.TempDir()}, nil)
 	client := service.NewClient(w.srv.URL)
 	spec := `{"states":[{"name":"s0","label":"up"},{"name":"s1","label":"right"}],"start":"s0","edges":[{"from":"s0","to":"s1","p":1},{"from":"s1","to":"s0","p":1}]}`
 	job, err := client.Submit(context.Background(), service.JobSpec{
-		Kind:       service.KindSynth,
+		Kind:       service.KindShard,
 		SynthSpecs: []string{spec},
 		SynthDs:    []int64{4},
 		Trials:     3,

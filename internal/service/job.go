@@ -7,11 +7,12 @@
 //
 // The moving parts:
 //
-//   - JobSpec names the work, one of four kinds: a registered sweep
+//   - JobSpec names the work, one of three kinds: a registered sweep
 //     (internal/experiment), a single scenario configuration
-//     (internal/scenario), a shard of a sweep's grid points, or a batch
-//     of synthesis candidates (internal/synth) — the last two are the
-//     worker halves of distributed runs (internal/cluster).
+//     (internal/scenario), or a shard: points of one grid, which is a
+//     registered sweep or an inline synthesis evaluation grid
+//     (internal/synth). Shards are the worker half of distributed runs
+//     (internal/cluster).
 //   - Job is the lifecycle record: queued → running → done | failed |
 //     cancelled, with progress counters and timestamps.
 //   - Service owns the queue, the worker pool, the per-job event logs and
@@ -34,6 +35,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/synth"
 )
 
@@ -72,38 +74,39 @@ const (
 	// KindScenario runs one scenario configuration (internal/scenario),
 	// exactly like `antsim -scenario`.
 	KindScenario = "scenario"
-	// KindShard runs a subset of a registered sweep's grid points,
-	// identified by expansion index. It is the worker half of distributed
-	// sweeps (internal/cluster): a coordinator ships shards of cache-miss
+	// KindShard runs points of one grid, identified by expansion index:
+	// a registered sweep's grid (Sweep), or the synthesis evaluation grid
+	// over an inline batch of candidate machine specs (SynthSpecs). It is
+	// the worker half of distributed sweeps and machine synthesis
+	// (internal/cluster): a coordinator ships shards of cache-miss
 	// points, the worker computes exactly those points (serving its own
 	// cache hits without recomputing) and returns per-point results.
 	KindShard = "shard"
-	// KindSynth scores a batch of candidate machine specs on the
-	// synthesis evaluation grid (internal/synth): the worker half of
-	// distributed machine synthesis. Like KindShard it computes the
-	// requested grid points — here (candidate, distance) cells — through
-	// its local cache and returns a shard artifact the coordinator
-	// merges.
-	KindSynth = "synth"
 )
 
-// JobSpec describes one experiment job. Kind selects which of the four
+// inlineSynth is the sweep id a shard artifact records for an inline
+// synthesis grid. It is also the retired job kind that scored synthesis
+// batches before they became shard jobs; Normalize maps it to KindShard.
+const inlineSynth = "synth"
+
+// JobSpec describes one experiment job. Kind selects which of the three
 // kinds the spec names; the remaining fields parameterize it. The zero
 // values of the optional fields are filled in by Normalize with the same
 // defaults the antsim CLI uses, so a spec submitted over the wire and the
 // equivalent CLI invocation describe identical computations.
 type JobSpec struct {
-	// Kind is KindSweep, KindScenario, KindShard or KindSynth.
+	// Kind is KindSweep, KindScenario or KindShard.
 	Kind string `json:"kind"`
 
 	// Sweep is the registered sweep id ("e1", "e5", "s1", "s2"); KindSweep
-	// and KindShard.
+	// and KindShard (a shard names either Sweep or SynthSpecs).
 	Sweep string `json:"sweep,omitempty"`
 	// Quick shrinks the sweep's grid and trial counts (antsim -quick);
-	// KindSweep and KindShard.
+	// KindSweep and KindShard over a registered sweep.
 	Quick bool `json:"quick,omitempty"`
 	// Points are the grid-point expansion indexes a shard job computes
-	// (unique, each in [0, grid size)); KindShard only.
+	// (unique, each in [0, grid size); empty means every point);
+	// KindShard only.
 	Points []int `json:"points,omitempty"`
 
 	// Scenario is the scenario spec string ("torus:l=48", "crash", ...);
@@ -123,30 +126,31 @@ type JobSpec struct {
 	// only.
 	Budget uint64 `json:"budget,omitempty"`
 	// Trials is the number of independent trials (scenario default 20,
-	// synth default 32); KindScenario and KindSynth.
+	// inline synth grid default 32); KindScenario and KindShard over an
+	// inline synth grid.
 	Trials int `json:"trials,omitempty"`
 
-	// SynthSpecs are the candidate machine specs to score, as canonical
-	// compact JSON (synth.CompactJSON), no duplicates; KindSynth only.
-	// Points, when set, selects (candidate, distance) cells of the
-	// evaluation grid by expansion index; empty means every cell.
+	// SynthSpecs are the candidate machine specs of an inline synthesis
+	// evaluation grid, as canonical compact JSON (synth.CompactJSON), no
+	// duplicates; KindShard only, instead of Sweep. The grid's points are
+	// the (candidate, distance) cells.
 	SynthSpecs []string `json:"synth_specs,omitempty"`
-	// SynthDs are the hit-time curve distances (default {8, 16});
-	// KindSynth only.
+	// SynthDs are the hit-time curve distances (default {8, 16}); inline
+	// synth grid only.
 	SynthDs []int64 `json:"synth_ds,omitempty"`
 	// SynthAgents is the colony size n the bound compares against
-	// (default 4); KindSynth only.
+	// (default 4); inline synth grid only.
 	SynthAgents int `json:"synth_agents,omitempty"`
 	// SynthBudgetFactor caps each agent at factor·D² moves (default 8);
-	// KindSynth only.
+	// inline synth grid only.
 	SynthBudgetFactor float64 `json:"synth_budget_factor,omitempty"`
 
 	// Seed is the root random seed (default 0; pass the CLI's -seed value
 	// to reproduce a CLI run).
 	Seed uint64 `json:"seed"`
-	// Workers bounds the job's internal concurrency: sweep-point shards
-	// for KindSweep, engine workers for KindScenario (0 = GOMAXPROCS).
-	// Results never depend on it.
+	// Workers bounds the job's internal concurrency: concurrent grid
+	// points for KindSweep and KindShard, engine workers for KindScenario
+	// (0 = GOMAXPROCS). Results never depend on it.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -154,8 +158,13 @@ type JobSpec struct {
 // CLI defaults, so that validation, execution and the stored job record
 // all see the same fully explicit spec. Seed is the one exception: 0 is a
 // valid seed and stays 0 (the CLI's -seed flag defaults to 1), so
-// reproducing a CLI run requires passing its seed explicitly.
+// reproducing a CLI run requires passing its seed explicitly. The
+// retired kind "synth" becomes KindShard here, the one place old clients
+// and old data directories are mapped onto the current kinds.
 func (s *JobSpec) Normalize() {
+	if s.Kind == inlineSynth {
+		s.Kind = KindShard
+	}
 	// An empty list means what an absent one does; keep the absent form,
 	// which is also what the WAL's encoding (omitempty) replays.
 	if len(s.Points) == 0 {
@@ -167,7 +176,7 @@ func (s *JobSpec) Normalize() {
 	if len(s.SynthDs) == 0 {
 		s.SynthDs = nil
 	}
-	if s.Kind == KindSynth {
+	if s.SynthSpecs != nil {
 		// One source of truth for the synthesis defaults: the stored spec
 		// matches what synth.EvalConfig.WithDefaults would compute.
 		ec := s.synthEval().WithDefaults(false)
@@ -199,80 +208,44 @@ func (s *JobSpec) Normalize() {
 }
 
 // Validate checks the (normalized) spec against the registries it names:
-// the sweep id must be registered in internal/experiment, the scenario
+// a sweep or shard job's grid must resolve (Grid) and its candidate
+// machines build, a shard's points must lie in the grid, the scenario
 // spec must build in internal/scenario, and the algorithm name must
 // resolve. It reports the first problem found.
 func (s JobSpec) Validate() error {
 	switch s.Kind {
 	case KindSweep, KindShard:
-		if s.Sweep == "" {
-			return fmt.Errorf("service: %s job needs a sweep id", s.Kind)
+		if s.Scenario != "" || s.Algo != "" || s.D != 0 || s.N != 0 || s.Ell != 0 || s.Budget != 0 {
+			return fmt.Errorf("service: %s job sets scenario-only fields", s.Kind)
 		}
-		sp, err := experiment.LookupSweep(s.Sweep)
+		if s.Kind == KindSweep && (len(s.Points) != 0 || len(s.SynthSpecs) != 0) {
+			return fmt.Errorf("service: sweep job sets shard-only fields points or synth_specs (use kind %q)", KindShard)
+		}
+		g, _, _, err := s.Grid()
 		if err != nil {
 			return err
 		}
-		if s.Scenario != "" || s.Algo != "" || s.D != 0 || s.N != 0 || s.Ell != 0 || s.Budget != 0 || s.Trials != 0 {
-			return fmt.Errorf("service: %s job sets scenario-only fields", s.Kind)
+		// Catches repeated candidates and distances of an inline grid.
+		if err := g.Validate(); err != nil {
+			return err
 		}
-		if len(s.SynthSpecs) != 0 || len(s.SynthDs) != 0 || s.SynthAgents != 0 || s.SynthBudgetFactor != 0 {
-			return fmt.Errorf("service: %s job sets synth-only fields", s.Kind)
-		}
-		if s.Kind == KindSweep {
-			if len(s.Points) != 0 {
-				return fmt.Errorf("service: sweep job sets shard-only field points (use kind %q)", KindShard)
-			}
-			break
-		}
-		if len(s.Points) == 0 {
-			return fmt.Errorf("service: shard job needs at least one grid-point index")
-		}
-		size := sp.Grid(experiment.Config{Quick: s.Quick}).Size()
-		seen := make(map[int]bool, len(s.Points))
-		for _, idx := range s.Points {
-			if idx < 0 || idx >= size {
-				return fmt.Errorf("service: shard point index %d out of range [0,%d) of sweep %q", idx, size, s.Sweep)
-			}
-			if seen[idx] {
-				return fmt.Errorf("service: shard point index %d listed twice", idx)
-			}
-			seen[idx] = true
-		}
-	case KindSynth:
-		if s.Sweep != "" || s.Quick {
-			return fmt.Errorf("service: synth job sets sweep-only fields")
-		}
-		if s.Scenario != "" || s.Algo != "" || s.D != 0 || s.N != 0 || s.Ell != 0 || s.Budget != 0 {
-			return fmt.Errorf("service: synth job sets scenario-only fields")
-		}
-		if len(s.SynthSpecs) == 0 {
-			return fmt.Errorf("service: synth job needs at least one candidate spec")
-		}
-		seenSpec := make(map[string]bool, len(s.SynthSpecs))
 		for i, cs := range s.SynthSpecs {
-			if seenSpec[cs] {
-				return fmt.Errorf("service: synth candidate %d listed twice", i)
-			}
-			seenSpec[cs] = true
 			spec, err := synth.SpecFromJSON(cs)
-			if err != nil {
-				return err
+			if err == nil {
+				_, err = spec.Build()
 			}
-			if _, err := spec.Build(); err != nil {
+			if err != nil {
 				return fmt.Errorf("service: synth candidate %d: %w", i, err)
 			}
 		}
-		if err := s.synthEval().Validate(); err != nil {
-			return err
-		}
-		size := synth.EvalGrid(s.SynthSpecs, s.synthEval()).Size()
+		size := g.Size()
 		seen := make(map[int]bool, len(s.Points))
 		for _, idx := range s.Points {
 			if idx < 0 || idx >= size {
-				return fmt.Errorf("service: synth point index %d out of range [0,%d)", idx, size)
+				return fmt.Errorf("service: shard point index %d out of range [0,%d) of grid %q", idx, size, g.Name)
 			}
 			if seen[idx] {
-				return fmt.Errorf("service: synth point index %d listed twice", idx)
+				return fmt.Errorf("service: shard point index %d listed twice", idx)
 			}
 			seen[idx] = true
 		}
@@ -302,9 +275,9 @@ func (s JobSpec) Validate() error {
 			return err
 		}
 	case "":
-		return fmt.Errorf("service: job spec needs a kind (%q, %q, %q or %q)", KindSweep, KindScenario, KindShard, KindSynth)
+		return fmt.Errorf("service: job spec needs a kind (%q, %q or %q)", KindSweep, KindScenario, KindShard)
 	default:
-		return fmt.Errorf("service: unknown job kind %q (valid: %q, %q, %q, %q)", s.Kind, KindSweep, KindScenario, KindShard, KindSynth)
+		return fmt.Errorf("service: unknown job kind %q (valid: %q, %q, %q)", s.Kind, KindSweep, KindScenario, KindShard)
 	}
 	if s.Workers < 0 {
 		return fmt.Errorf("service: workers must be ≥ 0, got %d", s.Workers)
@@ -312,8 +285,38 @@ func (s JobSpec) Validate() error {
 	return nil
 }
 
-// synthEval assembles the synth evaluation config a KindSynth spec
-// describes.
+// Grid resolves the grid a sweep or shard job runs: the registered sweep
+// Sweep names or, when SynthSpecs is set, the synthesis evaluation grid
+// over those candidates. It returns the expanded grid, the kernel that
+// computes one of its points, and the sweep id the shard artifact
+// records ("synth" for an inline grid). Validate, the shard executor and
+// the cluster coordinator all resolve grids here, so a coordinator and
+// its workers expand identical grids.
+func (s JobSpec) Grid() (sweep.Grid, sweep.PointFunc, string, error) {
+	if len(s.SynthSpecs) != 0 {
+		if s.Sweep != "" || s.Quick {
+			return sweep.Grid{}, nil, "", fmt.Errorf("service: %s job names both synth_specs and a sweep", s.Kind)
+		}
+		ec := s.synthEval()
+		if err := ec.Validate(); err != nil {
+			return sweep.Grid{}, nil, "", err
+		}
+		return synth.EvalGrid(s.SynthSpecs, ec), synth.Kernel, inlineSynth, nil
+	}
+	if s.Sweep == "" {
+		return sweep.Grid{}, nil, "", fmt.Errorf("service: %s job needs a sweep id or inline synth_specs", s.Kind)
+	}
+	if s.Trials != 0 || len(s.SynthDs) != 0 || s.SynthAgents != 0 || s.SynthBudgetFactor != 0 {
+		return sweep.Grid{}, nil, "", fmt.Errorf("service: %s job over sweep %q sets inline-grid fields (trials, synth_*)", s.Kind, s.Sweep)
+	}
+	sp, err := experiment.LookupSweep(s.Sweep)
+	if err != nil {
+		return sweep.Grid{}, nil, "", err
+	}
+	return sp.Grid(experiment.Config{Quick: s.Quick}), sp.Point, sp.Name, nil
+}
+
+// synthEval assembles the evaluation config of an inline synth grid.
 func (s JobSpec) synthEval() synth.EvalConfig {
 	return synth.EvalConfig{
 		Ds:           s.SynthDs,

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -18,10 +19,12 @@ import (
 // restarted daemon replays exactly the job it accepted.
 func FuzzJobSpec(f *testing.F) {
 	synthSpec := `{"states":[{"name":"s0","label":"up"},{"name":"s1","label":"right"}],"start":"s0","edges":[{"from":"s0","to":"s1","p":1},{"from":"s1","to":"s0","p":1}]}`
-	synthBody, err := json.Marshal(JobSpec{Kind: KindSynth, SynthSpecs: []string{synthSpec}, SynthDs: []int64{4}, Trials: 3, Seed: 9})
+	synthBody, err := json.Marshal(JobSpec{Kind: KindShard, SynthSpecs: []string{synthSpec}, SynthDs: []int64{4}, Trials: 3, Seed: 9})
 	if err != nil {
 		f.Fatal(err)
 	}
+	// The retired synth kind, as an old client sends it.
+	retiredBody := strings.Replace(string(synthBody), `"kind":"shard"`, `"kind":"synth"`, 1)
 	for _, body := range []string{
 		// The CI smoke's submission.
 		`{"kind":"sweep","sweep":"s1","quick":true,"seed":1}`,
@@ -32,6 +35,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"kind":"scenario","scenario":"open","n":1099511627776}`,
 		fmt.Sprintf(`{"kind":"scenario","scenario":"open","n":%d}`, sim.MaxAgents),
 		string(synthBody),
+		retiredBody,
 		// An empty list must come back from the WAL as the same spec.
 		`{"kind":"sweep","sweep":"s1","points":[]}`,
 		`{"kind":"sweep","sweep":"s1","workers":-1}`,

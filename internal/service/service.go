@@ -624,8 +624,6 @@ func (s *Service) executeJob(ctx context.Context, rec *record) ([]byte, []byte, 
 		return s.executeScenario(ctx, rec, spec)
 	case KindShard:
 		return s.executeShard(ctx, rec, spec)
-	case KindSynth:
-		return s.executeSynth(ctx, rec, spec)
 	default:
 		return nil, nil, fmt.Errorf("service: unknown job kind %q", spec.Kind)
 	}

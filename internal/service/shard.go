@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/experiment"
 	"repro/internal/sweep"
 )
 
@@ -34,7 +33,8 @@ type ShardPoint struct {
 type ShardArtifact struct {
 	// SchemaVersion is ShardArtifactSchemaVersion.
 	SchemaVersion int `json:"schema_version"`
-	// Sweep is the registered sweep id the shard belongs to.
+	// Sweep is the registered sweep id the shard belongs to, or "synth"
+	// for an inline synthesis grid.
 	Sweep string `json:"sweep"`
 	// Grid identifies the expanded grid the indexes refer to.
 	Grid string `json:"grid"`
@@ -66,31 +66,31 @@ func ParseShardArtifact(data []byte) (*ShardArtifact, error) {
 	return &art, nil
 }
 
-// executeShard runs a subset of a registered sweep's grid points through
-// sweep.RunPoints — same config derivation and cache behavior as a full
-// sweep job, but returning per-point results instead of an aggregate
-// summary. With a CacheDir, points the worker already holds are served as
-// cache hits (no kernel call), which is what makes cache federation ship
-// metadata instead of recomputation.
+// executeShard runs points of a shard job's grid (JobSpec.Grid), all of
+// them when Points is empty, through sweep.RunPoints — same config
+// derivation and cache behavior as a full sweep job, but returning
+// per-point results instead of an aggregate summary. With a CacheDir,
+// points the worker already holds are served as cache hits (no kernel
+// call), which is what makes cache federation ship metadata instead of
+// recomputation.
 func (s *Service) executeShard(ctx context.Context, rec *record, spec JobSpec) ([]byte, []byte, error) {
-	sp, err := experiment.LookupSweep(spec.Sweep)
+	g, kernel, label, err := spec.Grid()
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := experiment.Config{
-		Seed:     spec.Seed,
-		Quick:    spec.Quick,
-		Workers:  spec.Workers,
-		CacheDir: s.cfg.CacheDir,
-		Resume:   s.cfg.CacheDir != "",
+	idxs := spec.Points
+	if len(idxs) == 0 {
+		idxs = make([]int, g.Size())
+		for i := range idxs {
+			idxs[i] = i
+		}
 	}
-	g := sp.Grid(cfg)
-	rec.setTotal(len(spec.Points))
+	rec.setTotal(len(idxs))
 	opts := sweep.Options{
 		Seed: spec.Seed,
 		// Mirror the full-sweep execution exactly: point-level sharding is
 		// the parallelism, each point runs its engines single-threaded.
-		Shards:  cfg.Workers,
+		Shards:  spec.Workers,
 		Workers: 1,
 		Progress: func(p sweep.Progress) {
 			s.pointsDone.Add(1)
@@ -100,21 +100,21 @@ func (s *Service) executeShard(ctx context.Context, rec *record, spec JobSpec) (
 			rec.progress(p.Done, p.Total, p.Point.String(), p.Cached)
 		},
 	}
-	if cfg.CacheDir != "" {
-		cache, err := sweep.NewCache(cfg.CacheDir)
+	if s.cfg.CacheDir != "" {
+		cache, err := sweep.NewCache(s.cfg.CacheDir)
 		if err != nil {
 			return nil, nil, err
 		}
 		opts.Cache = cache
-		opts.Resume = cfg.Resume
+		opts.Resume = true
 	}
-	prs, err := sweep.RunPointsContext(ctx, g, spec.Points, sp.Point, opts)
+	prs, err := sweep.RunPointsContext(ctx, g, idxs, kernel, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	art := &ShardArtifact{
 		SchemaVersion: ShardArtifactSchemaVersion,
-		Sweep:         sp.Name,
+		Sweep:         label,
 		Grid:          g.Name,
 		GridVersion:   g.Version,
 		Seed:          spec.Seed,

@@ -11,11 +11,23 @@ import (
 	"repro/internal/experiment"
 )
 
-// TestShardSpecValidation pins the shard job's validation rules: a
-// registered sweep id, at least one index, all indexes unique and in range
-// of the (quick-aware) grid, and no field bleed from the other kinds.
+// twoStateSpec is a buildable two-state candidate machine.
+const twoStateSpec = `{"states":[{"name":"s0","label":"up"},{"name":"s1","label":"right"}],"start":"s0","edges":[{"from":"s0","to":"s1","p":1},{"from":"s1","to":"s0","p":1}]}`
+
+// inlineShard is a shard spec over an inline synth grid of the given
+// candidates, with every evaluation field explicit.
+func inlineShard(specs ...string) JobSpec {
+	return JobSpec{Kind: KindShard, SynthSpecs: specs, SynthDs: []int64{4, 8}, SynthAgents: 2, Trials: 3, SynthBudgetFactor: 2}
+}
+
+// TestShardSpecValidation pins the shard job's validation rules: exactly
+// one grid source (a registered sweep id or inline synth candidates that
+// build), indexes unique and in range of the (quick-aware) grid — none
+// means every point — and no field bleed from the other kinds.
 func TestShardSpecValidation(t *testing.T) {
 	size := quickGridSize(t, "s1")
+	withPoints := func(s JobSpec, idxs ...int) JobSpec { s.Points = idxs; return s }
+	withSweep := func(s JobSpec) JobSpec { s.Sweep = "s1"; return s }
 	cases := []struct {
 		name string
 		spec JobSpec
@@ -24,14 +36,23 @@ func TestShardSpecValidation(t *testing.T) {
 		{"valid", JobSpec{Kind: KindShard, Sweep: "s1", Quick: true, Points: []int{0, size - 1}}, ""},
 		{"no sweep", JobSpec{Kind: KindShard, Points: []int{0}}, "needs a sweep id"},
 		{"unknown sweep", JobSpec{Kind: KindShard, Sweep: "zz", Points: []int{0}}, "unknown sweep"},
-		{"no points", JobSpec{Kind: KindShard, Sweep: "s1", Quick: true}, "at least one grid-point index"},
+		{"no points", JobSpec{Kind: KindShard, Sweep: "s1", Quick: true}, ""},
 		{"out of range", JobSpec{Kind: KindShard, Sweep: "s1", Quick: true, Points: []int{size}}, "out of range"},
 		{"negative", JobSpec{Kind: KindShard, Sweep: "s1", Quick: true, Points: []int{-1}}, "out of range"},
 		{"duplicate", JobSpec{Kind: KindShard, Sweep: "s1", Quick: true, Points: []int{1, 1}}, "listed twice"},
-		{"scenario bleed", JobSpec{Kind: KindShard, Sweep: "s1", Quick: true, Points: []int{0}, Trials: 3}, "scenario-only"},
+		{"scenario bleed", JobSpec{Kind: KindShard, Sweep: "s1", Quick: true, Points: []int{0}, D: 8}, "scenario-only"},
+		{"trials on a sweep grid", JobSpec{Kind: KindShard, Sweep: "s1", Quick: true, Points: []int{0}, Trials: 3}, "inline-grid fields"},
 		{"sweep with points", JobSpec{Kind: KindSweep, Sweep: "s1", Quick: true, Points: []int{0}}, "shard-only"},
+		{"sweep with inline grid", withSweep(inlineShard(twoStateSpec)), "names both"},
 		{"scenario with points", JobSpec{Kind: KindScenario, Scenario: "open", D: 8, N: 2, Trials: 1, Ell: 1,
 			Algo: "non-uniform", Budget: 100, Points: []int{0}}, "sweep-only"},
+		{"inline grid", inlineShard(twoStateSpec), ""},
+		{"inline grid with points", withPoints(inlineShard(twoStateSpec), 1, 0), ""},
+		{"inline grid out of range", withPoints(inlineShard(twoStateSpec), 2), "out of range"},
+		{"inline grid without distances", JobSpec{Kind: KindShard, SynthSpecs: []string{twoStateSpec}, SynthAgents: 2, Trials: 3, SynthBudgetFactor: 2}, "at least one distance"},
+		{"repeated candidate", inlineShard(twoStateSpec, twoStateSpec), "repeats value"},
+		{"unparsable candidate", inlineShard(twoStateSpec, "{"), "synth candidate 1"},
+		{"unbuildable candidate", inlineShard(strings.Replace(twoStateSpec, `"p":1}`, `"p":0.5}`, 1)), "synth candidate 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -287,4 +308,19 @@ func clientFor(t *testing.T, svc *Service) *Client {
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(srv.Close)
 	return NewClient(srv.URL)
+}
+
+// TestNormalizeMapsRetiredSynthKind: an old client's "synth" job is a
+// shard over its inline grid, with the synthesis defaults filled in.
+func TestNormalizeMapsRetiredSynthKind(t *testing.T) {
+	spec := JobSpec{Kind: "synth", SynthSpecs: []string{twoStateSpec}, Seed: 9}
+	spec.Normalize()
+	want := JobSpec{Kind: KindShard, SynthSpecs: []string{twoStateSpec}, SynthDs: []int64{8, 16},
+		SynthAgents: 4, Trials: 32, SynthBudgetFactor: 8, Seed: 9}
+	if !reflect.DeepEqual(spec, want) {
+		t.Fatalf("Normalize() = %+v, want %+v", spec, want)
+	}
+	if err := spec.Validate(); err != nil {
+		t.Errorf("normalized synth spec does not validate: %v", err)
+	}
 }

@@ -348,6 +348,7 @@ func (st *store) loadSnapshot(dir string) error {
 				return fmt.Errorf("%w: snapshot event %d of %s is malformed", ErrCorruptLog, i, id)
 			}
 		}
+		sj.Job.Spec.Normalize() // maps retired kinds, like a submission
 		st.jobs[id] = &record{job: sj.Job, events: append([]Event(nil), sj.Events...)}
 		st.order = append(st.order, id)
 		st.nextID = max(st.nextID, n)
@@ -377,6 +378,7 @@ func (st *store) applyWALRecord(wr walRecord) error {
 		if wr.Spec == nil {
 			return fmt.Errorf("%w: submit record for %s has no spec", ErrCorruptLog, wr.Job)
 		}
+		wr.Spec.Normalize() // maps retired kinds, like a submission
 		rec := &record{job: Job{
 			ID:        wr.Job,
 			Spec:      *wr.Spec,

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -444,6 +445,104 @@ func TestReplaysLogsWithTenantFields(t *testing.T) {
 	}
 	if job, err := svc.Submit(scenarioSpec(2)); err != nil || job.ID != "j000003" {
 		t.Errorf("post-replay submit = %+v, %v; want id j000003", job, err)
+	}
+}
+
+// TestReplaysRetiredSynthKind: a data directory written when synthesis
+// batches were jobs of their own kind ("synth") still replays. Its specs
+// are normalized like a submission: the queued job runs as a shard over
+// its inline grid, with the artifact a fresh shard job of the same grid
+// writes, and the finished jobs — one in the snapshot, one in the WAL —
+// keep serving their artifacts byte for byte.
+func TestReplaysRetiredSynthKind(t *testing.T) {
+	dir := t.TempDir()
+	const t0 = "2026-01-02T03:04:05Z"
+	// A synth spec exactly as the service wrote it back then.
+	specJSON := `{"kind":"synth","trials":3,"synth_specs":[` + strconv.Quote(twoStateSpec) +
+		`],"synth_ds":[4],"synth_agents":4,"synth_budget_factor":8,"seed":9}`
+	events := func(id string) []string {
+		return []string{
+			`{"seq":1,"job":"` + id + `","type":"state","state":"running"}`,
+			`{"seq":2,"job":"` + id + `","type":"total","total":1}`,
+			`{"seq":3,"job":"` + id + `","type":"point","done":1,"total":1,"point":"d=4"}`,
+			`{"seq":4,"job":"` + id + `","type":"state","state":"done"}`,
+		}
+	}
+	snapshot := `{"schema_version":1,"next_id":1,"jobs":[{"job":{"id":"j000001","spec":` + specJSON +
+		`,"state":"done","done":1,"total":1,"cache_hits":0,"created_at":"` + t0 + `","started_at":"` + t0 +
+		`","finished_at":"` + t0 + `"},"events":[{"seq":0,"job":"j000001","type":"state","state":"queued"},` +
+		strings.Join(events("j000001"), ",") + `]}]}`
+	var seg []byte
+	seg = append(seg, frame([]byte(`{"kind":"submit","job":"j000002","time":"`+t0+`","spec":`+specJSON+`}`))...)
+	for _, ev := range events("j000002") {
+		seg = append(seg, frame([]byte(`{"kind":"event","job":"j000002","time":"`+t0+`","event":`+ev+`}`))...)
+	}
+	seg = append(seg, frame([]byte(`{"kind":"submit","job":"j000003","time":"`+t0+`","spec":`+specJSON+`}`))...)
+	files := map[string]string{
+		walSnapshotName:    snapshot,
+		"wal-00000001.log": string(seg),
+	}
+	for _, id := range []string{"j000001", "j000002"} {
+		files[id+".json"] = "{\"artifact\": \"" + id + " before the restart\"}\n"
+		files[id+".csv"] = "artifact\n" + id + " before the restart\n"
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	svc, err := New(Config{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatalf("New on a data directory with synth jobs: %v", err)
+	}
+	defer svc.Close(context.Background())
+	for _, id := range []string{"j000001", "j000002"} {
+		if job := mustJob(t, svc, id); job.State != StateDone || job.Spec.Kind != KindShard {
+			t.Errorf("replayed %s: state %s kind %q, want done shard", id, job.State, job.Spec.Kind)
+		}
+		for _, format := range []string{"json", "csv"} {
+			data, err := svc.Artifact(id, format)
+			if err != nil || string(data) != files[id+"."+format] {
+				t.Errorf("replayed artifact %s/%s = %q, %v; want the file's bytes", id, format, data, err)
+			}
+		}
+	}
+	queued := waitTerminal(t, svc, "j000003")
+	if queued.State != StateDone || queued.Spec.Kind != KindShard {
+		t.Fatalf("requeued synth job ended %s as kind %q (%s), want a done shard", queued.State, queued.Spec.Kind, queued.Error)
+	}
+	fresh, err := svc.Submit(JobSpec{Kind: KindShard, SynthSpecs: []string{twoStateSpec}, SynthDs: []int64{4}, Trials: 3, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh.Spec, queued.Spec) {
+		t.Errorf("replayed spec %+v, a fresh submission normalizes to %+v", queued.Spec, fresh.Spec)
+	}
+	waitTerminal(t, svc, fresh.ID)
+	// The CSV is byte-stable; the JSON differs only in kernel timings.
+	var arts [2]*ShardArtifact
+	var csvs [2][]byte
+	for i, id := range []string{"j000003", fresh.ID} {
+		data, err := svc.Artifact(id, "json")
+		if err == nil {
+			arts[i], err = ParseShardArtifact(data)
+		}
+		if err == nil {
+			csvs[i], err = svc.Artifact(id, "csv")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range arts[i].Points {
+			p.Result.ElapsedSec = 0
+		}
+	}
+	if !bytes.Equal(csvs[0], csvs[1]) || !reflect.DeepEqual(arts[0], arts[1]) {
+		t.Errorf("requeued synth job's artifacts differ from a fresh shard job's:\n%+v %s\nvs\n%+v %s", arts[0], csvs[0], arts[1], csvs[1])
+	}
+	if arts[0].Sweep != "synth" {
+		t.Errorf("inline-grid shard artifact records sweep %q, want \"synth\"", arts[0].Sweep)
 	}
 }
 

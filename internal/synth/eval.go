@@ -271,8 +271,8 @@ func CurvesFromResults(specs []string, cfg EvalConfig, prs []sweep.PointResult) 
 // Evaluator scores a batch of candidate specs (canonical compact JSON,
 // no duplicates) and returns one curve per candidate, in order. The
 // search is agnostic to where the kernels run: LocalEvaluator computes
-// in-process, cluster.SynthEvaluator fans the batch out as KindSynth
-// jobs. Implementations must be deterministic in (batch, seed) — the
+// in-process, cluster.SynthEvaluator fans the batch out as shard jobs
+// over an inline evaluation grid. Implementations must be deterministic in (batch, seed) — the
 // curves may never depend on shard count or cache state.
 type Evaluator interface {
 	Evaluate(ctx context.Context, specs []string) ([]*Curve, error)

@@ -5,7 +5,7 @@
 // evaluation is a content-addressed cache point — deterministic by seed,
 // resumable after interruption with zero re-executed kernel calls — and a
 // batch of candidates can equally run locally or fan out across a worker
-// fleet as KindSynth jobs (internal/cluster).
+// fleet as shard jobs over an inline evaluation grid (internal/cluster).
 //
 // The moving parts:
 //
@@ -149,7 +149,7 @@ func stateName(i int) string { return fmt.Sprintf("s%d", i) }
 
 // CompactJSON renders a spec as canonical single-line JSON — the form
 // candidate machines travel in: as sweep axis values (and therefore cache
-// keys), as KindSynth job fields, and as search-state identity for
+// keys), as the synth_specs of shard jobs, and as search-state identity for
 // deterministic tie-breaking.
 func CompactJSON(s *automata.Spec) (string, error) {
 	data, err := json.Marshal(s)
