@@ -417,8 +417,10 @@ func RunSweep(g SweepGrid, fn SweepPointFunc, opts SweepOptions) (*SweepReport, 
 	return sweep.Run(g, fn, opts)
 }
 
-// NewSweepCache opens (creating if needed) a content-addressed sweep cache
-// rooted at dir.
+// NewSweepCache returns the process's content-addressed sweep cache for
+// dir, creating the directory if needed. Every call for one directory
+// returns the same instance; entries are appended to pack segments that
+// other processes sharing the directory read too (see sweep.Cache).
 func NewSweepCache(dir string) (*SweepCache, error) {
 	return sweep.NewCache(dir)
 }

@@ -21,8 +21,8 @@
 //
 // With -data DIR the control plane is durable: every submission and event
 // lands in a write-ahead log (with periodic snapshot compaction) before
-// clients observe it, finished artifacts are persisted atomically, and a
-// restarted daemon replays the directory so job ids, event logs and
+// clients observe it, finished artifacts ride in the log frame of their
+// job's done event, and a restarted daemon replays the directory so job ids, event logs and
 // artifacts come back byte-identical — queued jobs re-enter the queue and
 // jobs that were running at crash time re-execute from the cache.
 //
@@ -69,7 +69,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		workers   = fs.Int("workers", 2, "job worker pool size (concurrent jobs)")
 		queue     = fs.Int("queue", 64, "queued-job capacity; submissions beyond it get HTTP 503")
 		cacheDir  = fs.String("cache", "", "content-addressed sweep-point cache directory (shared with antsim -cache)")
-		dataDir   = fs.String("data", "", "durable state directory: WAL + snapshot of the job store (replayed on restart) and every finished job's artifacts")
+		dataDir   = fs.String("data", "", "durable state directory: WAL + snapshot of the job store, finished jobs' artifacts included (replayed on restart)")
 		shutdown  = fs.Duration("shutdown-timeout", 30*time.Second, "graceful-shutdown drain budget for running jobs")
 		routes    = fs.Bool("routes", false, "print the HTTP route table and exit")
 		join      = fs.String("join", "", "join a coordinator antsimd's worker fleet (base URL); heartbeats keep the membership alive")

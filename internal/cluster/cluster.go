@@ -54,6 +54,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -232,6 +233,10 @@ type dispatcher struct {
 	filled  []bool
 	done    int
 
+	// lastErr is each worker's most recent failed attempt, named in the
+	// abort when the whole fleet fails.
+	lastErr map[string]error
+
 	st Stats
 }
 
@@ -270,6 +275,7 @@ func (c *Cluster) Dispatch(ctx context.Context, spec service.JobSpec, progress f
 		results:  make([]sweep.PointResult, len(points)),
 		filled:   make([]bool, len(points)),
 		live:     len(c.workers),
+		lastErr:  map[string]error{},
 	}
 	if c.cfg.CacheDir != "" {
 		if d.cache, err = sweep.NewCache(c.cfg.CacheDir); err != nil {
@@ -625,6 +631,7 @@ func (d *dispatcher) attemptFailed(ctx context.Context, client *service.Client, 
 		return false, false
 	}
 	dropAttemptLocked(at)
+	d.lastErr[at.worker] = err
 	at.shard.stolen = false // allow the requeued shard to be speculated again
 	d.queue = append(d.queue, at.shard)
 	if busy {
@@ -638,14 +645,21 @@ func (d *dispatcher) attemptFailed(ctx context.Context, client *service.Client, 
 }
 
 // workerDead records a worker's death. The last death with work still
-// outstanding aborts the dispatch — there is nobody left to run it.
+// outstanding aborts the dispatch — there is nobody left to run it — and
+// the abort names each worker's last error, so a fleet that refuses the
+// shards (a 400 from version-skewed workers, say) shows why.
 func (d *dispatcher) workerDead(at *attempt) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.st.Failed = append(d.st.Failed, at.worker)
 	d.live--
 	if d.live == 0 && d.undone > 0 && d.abort == nil {
-		d.abort = fmt.Errorf("cluster: all %d workers failed with %d shards outstanding", d.st.Workers, d.undone)
+		causes := make([]string, len(d.st.Failed))
+		for i, w := range d.st.Failed {
+			causes[i] = fmt.Sprintf("%s: %v", w, d.lastErr[w])
+		}
+		d.abort = fmt.Errorf("cluster: all %d workers failed with %d shards outstanding; last errors: %s",
+			d.st.Workers, d.undone, strings.Join(causes, "; "))
 	}
 	d.cond.Broadcast()
 }

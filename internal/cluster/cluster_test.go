@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -468,6 +469,41 @@ func TestDispatchAbortsWhenAllWorkersDead(t *testing.T) {
 	_, err = c.Dispatch(context.Background(), quickSweep("s1", 1), nil)
 	if err == nil || !strings.Contains(err.Error(), "all 1 workers failed") {
 		t.Fatalf("err = %v, want all-workers-failed", err)
+	}
+}
+
+// TestDispatchAbortNamesWorkerErrors: a fleet of version-skewed workers
+// that refuse every shard with a 400 still fails as a dead fleet — the
+// shards are requeued first — but the abort names each worker's last
+// error, so the cause is not lost.
+func TestDispatchAbortNamesWorkerErrors(t *testing.T) {
+	const refusal = `unknown field "points"`
+	var urls []string
+	for i := 0; i < 2; i++ {
+		skewed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost {
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusBadRequest)
+				fmt.Fprintf(w, "{\"error\":%q}\n", refusal)
+				return
+			}
+			w.WriteHeader(http.StatusOK)
+		}))
+		t.Cleanup(skewed.Close)
+		urls = append(urls, skewed.URL)
+	}
+	c, err := New(Config{Workers: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Dispatch(context.Background(), quickSweep("s1", 1), nil)
+	if err == nil || !strings.Contains(err.Error(), "all 2 workers failed") {
+		t.Fatalf("err = %v, want all-workers-failed", err)
+	}
+	for _, u := range urls {
+		if !strings.Contains(err.Error(), u+": service: HTTP 400: "+refusal) {
+			t.Errorf("abort does not name %s's 400: %v", u, err)
+		}
 	}
 }
 

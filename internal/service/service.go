@@ -38,6 +38,10 @@ var (
 	ErrBadFormat = errors.New(`service: artifact format must be "json" or "csv"`)
 	// ErrInvalidSpec wraps a job-spec validation failure (HTTP 400).
 	ErrInvalidSpec = errors.New("service: invalid job spec")
+	// ErrArtifactTooLarge fails a job on a durable daemon whose
+	// artifacts would not fit in one WAL frame (framing.MaxPayload): the
+	// done frame carries them, and replay stops at a frame over the bound.
+	ErrArtifactTooLarge = errors.New("service: job artifacts too large for the write-ahead log")
 	// ErrCorruptLog wraps a durable-state inconsistency that replay
 	// refuses to serve (New fails): an intact WAL frame or snapshot entry
 	// that the store could not have written, such as a malformed job id,
@@ -54,14 +58,16 @@ type Config struct {
 	// QueueDepth bounds the number of queued-but-not-running jobs
 	// (default 64); submissions beyond it fail with ErrQueueFull.
 	QueueDepth int
-	// CacheDir, when non-empty, roots the content-addressed sweep-point
-	// cache shared by every sweep job (and by CLI runs pointed at the
-	// same directory). Sweep jobs then resume: previously computed points
-	// are served from disk.
+	// CacheDir, when non-empty, roots the sweep-point cache shared by
+	// every sweep and shard job (and by CLI runs and other daemons pointed
+	// at the same directory; see sweep.Cache for the pack layout). Sweep
+	// jobs then resume: previously computed points are served from disk.
 	CacheDir string
-	// DataDir, when non-empty, makes results durable: every finished
-	// job's artifacts are also written to <DataDir>/<jobID>.json and
-	// .csv.
+	// DataDir, when non-empty, makes the job store durable: a write-ahead
+	// log under it records every submission and event, and each finished
+	// job's artifacts ride in the log frame of its done event, so a
+	// restart replays them byte for byte. Artifacts too large for one
+	// frame fail the job with ErrArtifactTooLarge.
 	DataDir string
 	// WorkerTTL is how long a joined cluster worker stays in the fleet
 	// without a fresh heartbeat (default DefaultWorkerTTL). Tests shrink
@@ -277,8 +283,11 @@ func New(cfg Config) (*Service, error) {
 // recoverDurable re-enqueues replayed jobs that still need a worker:
 // queued jobs re-enter the queue as they were, jobs that were running at
 // crash time get a fresh queued state event (durably logged) and run
-// again, and a done job whose artifact files went missing is re-executed
-// rather than served a hole. Runs before the worker pool starts.
+// again. A done job's artifacts come from its replayed records; a data
+// directory written before artifacts moved into the log keeps them in
+// <id>.json and <id>.csv, read here, and a done job with neither is
+// re-executed rather than served a hole. Runs before the worker pool
+// starts.
 func (s *Service) recoverDurable() {
 	now := time.Now()
 	for _, job := range s.store.list() {
@@ -295,10 +304,13 @@ func (s *Service) recoverDurable() {
 			rec.setStateLocked(StateQueued, "", now)
 			requeue = true
 		case StateDone:
+			if rec.art != nil {
+				break
+			}
 			jsonB, jerr := os.ReadFile(filepath.Join(s.cfg.DataDir, rec.job.ID+".json"))
 			csvB, cerr := os.ReadFile(filepath.Join(s.cfg.DataDir, rec.job.ID+".csv"))
 			if jerr == nil && cerr == nil {
-				rec.artifactJSON, rec.artifactCSV = jsonB, csvB
+				rec.art = &artifacts{JSON: jsonB, CSV: csvB}
 			} else {
 				rec.setStateLocked(StateQueued, "", now)
 				requeue = true
@@ -452,9 +464,9 @@ func (s *Service) Artifact(id, format string) ([]byte, error) {
 	}
 	switch format {
 	case "", "json":
-		return rec.artifactJSON, nil
+		return rec.art.JSON, nil
 	case "csv":
-		return rec.artifactCSV, nil
+		return rec.art.CSV, nil
 	default:
 		return nil, fmt.Errorf("%w, got %q", ErrBadFormat, format)
 	}
@@ -580,24 +592,15 @@ func (s *Service) runOne(rec *record) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	rec.cancelFn = cancel
 	rec.setStateLocked(StateRunning, "", time.Now())
-	id := rec.job.ID
 	rec.mu.Unlock()
 	defer cancel()
 
 	jsonB, csvB, err := s.execute(ctx, rec)
 
-	// Durability ordering: the artifacts land on disk (atomically, via
-	// temp+rename) before the done event enters the WAL, so a replayed
-	// done job always finds its files; a crash between the two replays as
-	// still-running and re-executes. An artifact write failure fails the
-	// job — a durable daemon must not claim done for results it cannot
-	// serve after a restart.
-	if err == nil && s.cfg.DataDir != "" {
-		if werr := writeFileAtomic(filepath.Join(s.cfg.DataDir, id+".json"), jsonB); werr != nil {
-			err = fmt.Errorf("service: persist artifact: %w", werr)
-		} else if werr := writeFileAtomic(filepath.Join(s.cfg.DataDir, id+".csv"), csvB); werr != nil {
-			err = fmt.Errorf("service: persist artifact: %w", werr)
-		}
+	// The done event's WAL frame carries the artifacts, so a durable
+	// daemon must not claim done for results that frame cannot hold.
+	if err == nil && s.wal != nil && !artifactsFit(jsonB, csvB) {
+		err = fmt.Errorf("%w: %d JSON and %d CSV bytes", ErrArtifactTooLarge, len(jsonB), len(csvB))
 	}
 
 	rec.mu.Lock()
@@ -607,7 +610,7 @@ func (s *Service) runOne(rec *record) {
 	case err != nil:
 		rec.setStateLocked(StateFailed, err.Error(), time.Now())
 	default:
-		rec.artifactJSON, rec.artifactCSV = jsonB, csvB
+		rec.art = &artifacts{JSON: jsonB, CSV: csvB}
 		rec.setStateLocked(StateDone, "", time.Now())
 	}
 	rec.mu.Unlock()

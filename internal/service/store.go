@@ -19,8 +19,7 @@ type record struct {
 	cancelFn context.CancelFunc
 	w        *wal // nil when the store is not durable
 
-	artifactJSON []byte
-	artifactCSV  []byte
+	art *artifacts // set with the done state, nil before it
 }
 
 // snapshot returns a copy of the job record safe to hand out.
@@ -31,15 +30,16 @@ func (r *record) snapshot() Job {
 }
 
 // appendLocked adds an event to the log (stamping Seq and Job), persists
-// it to the WAL, and only then wakes every stream waiting for new
-// entries — so any event a client has streamed is already durable. now
-// stamps state events in the WAL (replay restores StartedAt/FinishedAt
-// from it); point and total events pass the zero time. Callers hold r.mu.
-func (r *record) appendLocked(ev Event, now time.Time) {
+// it to the WAL — with art, the done state's artifacts, in the same
+// frame — and only then wakes every stream waiting for new entries, so
+// any event a client has streamed is already durable. now stamps state
+// events in the WAL (replay restores StartedAt/FinishedAt from it); point
+// and total events pass the zero time. Callers hold r.mu.
+func (r *record) appendLocked(ev Event, now time.Time, art *artifacts) {
 	ev.Seq = len(r.events)
 	ev.Job = r.job.ID
 	r.events = append(r.events, ev)
-	r.w.append(walRecord{Kind: walKindEvent, Job: r.job.ID, Time: now, Event: &ev})
+	r.w.append(walRecord{Kind: walKindEvent, Job: r.job.ID, Time: now, Event: &ev, Artifacts: art})
 	for _, w := range r.waiters {
 		close(w)
 	}
@@ -47,8 +47,9 @@ func (r *record) appendLocked(ev Event, now time.Time) {
 }
 
 // setStateLocked transitions the job and logs the matching EventState
-// entry, stamping the lifecycle timestamps. Callers hold r.mu and are
-// responsible for the transition being legal.
+// entry, stamping the lifecycle timestamps. Callers hold r.mu, are
+// responsible for the transition being legal, and set r.art before a
+// transition to done.
 func (r *record) setStateLocked(st JobState, errMsg string, now time.Time) {
 	r.job.State = st
 	r.job.Error = errMsg
@@ -58,7 +59,11 @@ func (r *record) setStateLocked(st JobState, errMsg string, now time.Time) {
 	case st.Terminal():
 		r.job.FinishedAt = now
 	}
-	r.appendLocked(Event{Type: EventState, State: st, Error: errMsg}, now)
+	var art *artifacts
+	if st == StateDone {
+		art = r.art // the results land in the frame that publishes them
+	}
+	r.appendLocked(Event{Type: EventState, State: st, Error: errMsg}, now, art)
 }
 
 // setTotal records the job's total work units and announces them with an
@@ -69,7 +74,7 @@ func (r *record) setTotal(total int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.job.Total = total
-	r.appendLocked(Event{Type: EventTotal, Total: total}, time.Time{})
+	r.appendLocked(Event{Type: EventTotal, Total: total}, time.Time{}, nil)
 }
 
 // progress logs one finished work unit and updates the job's counters.
@@ -86,7 +91,7 @@ func (r *record) progress(done, total int, point string, cached bool) {
 	if cached {
 		r.job.CacheHits++
 	}
-	r.appendLocked(Event{Type: EventPoint, Done: done, Total: total, Point: point, Cached: cached}, time.Time{})
+	r.appendLocked(Event{Type: EventPoint, Done: done, Total: total, Point: point, Cached: cached}, time.Time{}, nil)
 }
 
 // eventsFrom returns the log entries at index ≥ from, whether the job is

@@ -6,30 +6,29 @@ package service
 // write happens inside the same critical section that wakes event-stream
 // waiters), so a daemon killed at any instant replays on restart to a
 // store whose job IDs, event logs — including their Seq numbers — and
-// artifacts are byte-identical to what clients already saw.
+// artifacts are byte-identical to what clients already saw. A job's JSON
+// and CSV artifacts ride in the frame of its done state event, so the
+// results and the transition that publishes them land under one checksum:
+// replay sees both or neither, and a finished job creates no file.
 //
-// Frame layout (little-endian):
-//
-//	[uint32 payload length][uint32 CRC-32 (IEEE) of payload][payload]
-//
-// where the payload is one JSON-encoded walRecord. A crash tears at most
-// the tail of the final segment; replay verifies length and checksum and
-// stops cleanly at the last intact record.
+// Records are framed by internal/framing: a length and CRC-32 header, then
+// one JSON-encoded walRecord. A crash tears at most the tail of the final
+// segment; replay verifies length and checksum and stops cleanly at the
+// last intact record.
 //
 // Compaction bounds replay cost: after SnapshotEvery appended records the
 // service rotates to a fresh segment, snapshots the in-memory store (which
 // by then is a superset of everything in the rotated-out segments) to
-// snapshot.json via temp+rename — the same atomic-publish idiom as the
-// sweep cache — and deletes the old segments. Replay applies the snapshot
-// first and then the surviving segments idempotently (a record whose job
-// already exists, or whose event Seq is already present, is skipped), so
-// a crash anywhere inside compaction loses nothing.
+// snapshot.json via temp+rename, and deletes the old segments. Replay
+// applies the snapshot first and then the surviving segments
+// idempotently (a record whose job already exists, or whose event Seq is
+// already present, is skipped), so a crash anywhere inside compaction
+// loses nothing.
 
 import (
-	"encoding/binary"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -39,6 +38,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/framing"
 )
 
 // WAL record kinds.
@@ -52,10 +53,6 @@ const (
 
 // snapshotSchemaVersion versions the snapshot.json layout.
 const snapshotSchemaVersion = 1
-
-// maxWALRecordBytes bounds a single WAL payload; a longer length prefix
-// marks a torn or corrupt frame and stops replay of that segment.
-const maxWALRecordBytes = 16 << 20
 
 // DefaultSnapshotEvery is how many WAL records accumulate before the
 // service compacts them into a snapshot (Config.SnapshotEvery overrides).
@@ -71,6 +68,26 @@ type walRecord struct {
 	Time  time.Time `json:"time,omitzero"` // CreatedAt (submit) / lifecycle stamp (state events)
 	Spec  *JobSpec  `json:"spec,omitempty"`
 	Event *Event    `json:"event,omitempty"`
+	// Artifacts rides only on a done state event.
+	Artifacts *artifacts `json:"artifacts,omitempty"`
+}
+
+// artifacts is a done job's results, byte for byte, as the WAL and the
+// snapshot carry them (base64 in the JSON encoding, which keeps every
+// byte exact).
+type artifacts struct {
+	JSON []byte `json:"json"`
+	CSV  []byte `json:"csv"`
+}
+
+// artifactsFit reports whether a done frame carrying these artifacts stays
+// under framing.MaxPayload. It bounds the base64 encodings plus a margin for
+// the record's other fields (kind, job id, time and a done event, a few
+// hundred bytes), so it never has to encode the artifacts to tell.
+func artifactsFit(jsonB, csvB []byte) bool {
+	const margin = 4 << 10
+	enc := base64.StdEncoding
+	return enc.EncodedLen(len(jsonB))+enc.EncodedLen(len(csvB))+margin <= framing.MaxPayload
 }
 
 // walSnapshot is the snapshot.json payload: the full job table at
@@ -81,10 +98,12 @@ type walSnapshot struct {
 	Jobs          []snapshotJob `json:"jobs"`
 }
 
-// snapshotJob is one job's snapshot: the record and its whole event log.
+// snapshotJob is one job's snapshot: the record, its whole event log and,
+// for a done job, its artifacts.
 type snapshotJob struct {
-	Job    Job     `json:"job"`
-	Events []Event `json:"events"`
+	Job       Job        `json:"job"`
+	Events    []Event    `json:"events"`
+	Artifacts *artifacts `json:"artifacts,omitempty"`
 }
 
 // wal is the append half of the write-ahead log: a current segment file,
@@ -155,29 +174,22 @@ func openWAL(dir string, lastSeg, every int) (*wal, error) {
 	return w, nil
 }
 
-// frame encodes one payload as a length-prefixed, checksummed frame.
-func frame(payload []byte) []byte {
-	buf := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[8:], payload)
-	return buf
-}
-
 // append writes one record to the current segment. Failures are counted
 // (Stats.WALErrors) rather than propagated — the in-memory store stays
 // authoritative and the daemon keeps serving — and a failed segment is
-// rotated out so later records land on a fresh, readable file.
+// rotated out so later records land on a fresh, readable file. A record
+// over framing.MaxPayload is never written: replay would stop at it and
+// lose every later record.
 func (w *wal) append(rec walRecord) {
 	if w == nil {
 		return
 	}
 	payload, err := json.Marshal(rec)
-	if err != nil {
+	if err != nil || len(payload) > framing.MaxPayload {
 		w.errs.Add(1)
 		return
 	}
-	buf := frame(payload)
+	buf := framing.Encode(payload)
 	var fire bool
 	w.mu.Lock()
 	if w.f == nil {
@@ -276,17 +288,9 @@ func readSegment(path string, apply func(walRecord) error) error {
 
 // readFrames is readSegment on the segment's bytes.
 func readFrames(data []byte, apply func(walRecord) error) error {
-	for off := 0; ; {
-		if len(data)-off < 8 {
-			return nil
-		}
-		n := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if n > maxWALRecordBytes || off+8+n > len(data) {
-			return nil
-		}
-		payload := data[off+8 : off+8+n]
-		if crc32.ChecksumIEEE(payload) != sum {
+	for {
+		payload, n, ok := framing.Next(data)
+		if !ok {
 			return nil
 		}
 		var rec walRecord
@@ -296,7 +300,7 @@ func readFrames(data []byte, apply func(walRecord) error) error {
 		if err := apply(rec); err != nil {
 			return err
 		}
-		off += 8 + n
+		data = data[n:]
 	}
 }
 
@@ -348,8 +352,11 @@ func (st *store) loadSnapshot(dir string) error {
 				return fmt.Errorf("%w: snapshot event %d of %s is malformed", ErrCorruptLog, i, id)
 			}
 		}
+		if sj.Artifacts != nil && sj.Job.State != StateDone {
+			return fmt.Errorf("%w: snapshot job %s is %s but carries artifacts", ErrCorruptLog, id, sj.Job.State)
+		}
 		sj.Job.Spec.Normalize() // maps retired kinds, like a submission
-		st.jobs[id] = &record{job: sj.Job, events: append([]Event(nil), sj.Events...)}
+		st.jobs[id] = &record{job: sj.Job, events: append([]Event(nil), sj.Events...), art: sj.Artifacts}
 		st.order = append(st.order, id)
 		st.nextID = max(st.nextID, n)
 	}
@@ -395,7 +402,8 @@ func (st *store) applyWALRecord(wr walRecord) error {
 		if !ok {
 			return fmt.Errorf("%w: event record for unknown job %q", ErrCorruptLog, wr.Job)
 		}
-		if wr.Event == nil || wr.Event.Job != wr.Job || wr.Event.Seq < 0 || !validEvent(*wr.Event) {
+		if wr.Event == nil || wr.Event.Job != wr.Job || wr.Event.Seq < 0 || !validEvent(*wr.Event) ||
+			(wr.Artifacts != nil && (wr.Event.Type != EventState || wr.Event.State != StateDone)) {
 			return fmt.Errorf("%w: event record for %s is malformed", ErrCorruptLog, wr.Job)
 		}
 		ev := *wr.Event
@@ -416,6 +424,7 @@ func (st *store) applyWALRecord(wr walRecord) error {
 			case ev.State.Terminal():
 				rec.job.FinishedAt = wr.Time
 			}
+			rec.art = wr.Artifacts
 		case EventPoint:
 			if ev.Done > rec.job.Done {
 				rec.job.Done = ev.Done
@@ -487,15 +496,20 @@ func (st *store) snapshotAll() walSnapshot {
 	for i, rec := range recs {
 		rec.mu.Lock()
 		snap.Jobs[i] = snapshotJob{Job: rec.job, Events: append([]Event(nil), rec.events...)}
+		if rec.job.State == StateDone {
+			snap.Jobs[i].Artifacts = rec.art
+		}
 		rec.mu.Unlock()
 	}
 	return snap
 }
 
 // writeSnapshot publishes a snapshot atomically: write to a temp file in
-// the same directory, then rename over snapshot.json.
+// the same directory, then rename over snapshot.json. The encoding is
+// compact: a snapshot holds every job's events and done artifacts, and
+// indenting it costs several times the encoding itself.
 func writeSnapshot(dir string, snap walSnapshot) error {
-	data, err := json.MarshalIndent(snap, "", "  ")
+	data, err := json.Marshal(snap)
 	if err != nil {
 		return err
 	}

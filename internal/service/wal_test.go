@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/framing"
 )
 
 // eventsOf returns the full event log of one job.
@@ -323,51 +325,254 @@ func TestSnapshotCompactionRoundTrip(t *testing.T) {
 	if jobs2 := mustJSON(t, svc2.Jobs()); jobs2 != jobs1 {
 		t.Errorf("post-compaction replay differs:\nbefore: %s\nafter:  %s", jobs1, jobs2)
 	}
+	// The snapshot carries the artifacts of the jobs whose done frames
+	// were in the pruned segments.
+	for _, j := range svc2.Jobs() {
+		if csv, err := svc2.Artifact(j.ID, "csv"); err != nil || string(csv) != "csv\n" {
+			t.Errorf("replayed artifact of %s = %q, %v", j.ID, csv, err)
+		}
+	}
 	if st := svc2.Stats(); st.WALErrors != 0 {
 		t.Errorf("WALErrors = %d after a clean compaction cycle", st.WALErrors)
 	}
 }
 
-// TestDoneJobWithMissingArtifactsReExecutes: durable replay must not
-// serve a done job whose artifact files vanished — it re-executes the
-// job instead of returning a hole.
+// TestDoneJobWithMissingArtifactsReExecutes: a data directory written
+// before artifacts moved into the WAL keeps a done job's results in
+// <id>.json and <id>.csv beside a done event that carries none. Durable
+// replay must not serve such a job when one of the files vanished — it
+// re-executes the job instead of returning a hole, and serves what a
+// fresh run of the same spec serves.
 func TestDoneJobWithMissingArtifactsReExecutes(t *testing.T) {
 	dataDir := t.TempDir()
-	cfg := Config{Workers: 1, DataDir: dataDir}
-	svc1, err := New(cfg)
+	spec := scenarioSpec(1)
+	spec.Normalize()
+	w, err := openWAL(dataDir, 0, DefaultSnapshotEvery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := svc1.Submit(scenarioSpec(1))
-	if err != nil {
-		t.Fatal(err)
+	t0 := time.Now().UTC()
+	w.append(walRecord{Kind: walKindSubmit, Job: "j000001", Time: t0, Spec: &spec})
+	for i, st := range []JobState{StateRunning, StateDone} {
+		w.append(walRecord{Kind: walKindEvent, Job: "j000001", Time: t0,
+			Event: &Event{Seq: i + 1, Job: "j000001", Type: EventState, State: st}})
 	}
-	waitTerminal(t, svc1, job.ID)
-	want, err := svc1.Artifact(job.ID, "csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc1.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dataDir, job.ID+".csv")); err != nil {
+	w.close()
+	// Only the JSON half of the legacy pair survived.
+	if err := os.WriteFile(filepath.Join(dataDir, "j000001.json"), []byte("{}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	svc2, err := New(cfg)
+	svc, err := New(Config{Workers: 1, DataDir: dataDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close(context.Background())
+	if final := waitTerminal(t, svc, "j000001"); final.State != StateDone {
+		t.Fatalf("re-executed job ended %s (%s)", final.State, final.Error)
+	}
+	got, err := svc.Artifact("j000001", "csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := svc.Submit(scenarioSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, svc, fresh.ID)
+	want, err := svc.Artifact(fresh.ID, "csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("re-executed artifact differs from a fresh run's:\n%s\nvs\n%s", got, want)
+	}
+	if evs := eventsOf(t, svc, "j000001"); len(evs) < 4 || evs[2].State != StateDone || evs[3].State != StateQueued {
+		t.Errorf("re-executed job's log does not requeue after the replayed done: %+v", evs)
+	}
+}
+
+// TestFinishedJobCreatesNoFiles: a durable daemon keeps a finished job's
+// artifacts in the WAL frame of its done event. The data directory holds
+// only the segment New opened, and that segment alone replays the
+// artifacts byte for byte.
+func TestFinishedJobCreatesNoFiles(t *testing.T) {
+	dataDir := t.TempDir()
+	svc, err := New(Config{Workers: 1, DataDir: dataDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := svc.Submit(scenarioSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, svc, job.ID)
+	want := map[string][]byte{}
+	for _, format := range []string{"json", "csv"} {
+		if want[format], err = svc.Artifact(job.ID, format); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != filepath.Base(segmentPath(dataDir, 1)) {
+		t.Fatalf("data directory holds %v, want only the first WAL segment", entries)
+	}
+	var done []*artifacts
+	err = readSegment(segmentPath(dataDir, 1), func(wr walRecord) error {
+		if wr.Artifacts != nil {
+			if wr.Event == nil || wr.Event.State != StateDone {
+				t.Errorf("artifacts ride on %+v, want the done state event", wr.Event)
+			}
+			done = append(done, wr.Artifacts)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(done) != 1 || !bytes.Equal(done[0].JSON, want["json"]) || !bytes.Equal(done[0].CSV, want["csv"]) {
+		t.Fatalf("WAL carries %d artifact pairs, want the served one", len(done))
+	}
+}
+
+// TestTornDoneFrameReExecutes cuts a finished job's WAL segment at every
+// byte of its done frame, as a crash mid-append would. Each cut replays
+// the job as running, re-executes it, and serves the CSV the job served
+// before the crash.
+func TestTornDoneFrameReExecutes(t *testing.T) {
+	dataDir := t.TempDir()
+	svc, err := New(Config{Workers: 1, DataDir: dataDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := svc.Submit(scenarioSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, svc, job.ID)
+	want, err := svc.Artifact(job.ID, "csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.ReadFile(segmentPath(dataDir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The done frame is the segment's last.
+	start := 0
+	for off := 0; off < len(seg); {
+		_, n, ok := framing.Next(seg[off:])
+		if !ok {
+			t.Fatalf("recorded segment is torn at %d", off)
+		}
+		start, off = off, off+n
+	}
+	if p, _, _ := framing.Next(seg[start:]); !bytes.Contains(p, []byte(`"artifacts"`)) {
+		t.Fatalf("last frame carries no artifacts: %s", p)
+	}
+	for cut := start; cut < len(seg); cut++ {
+		dir := t.TempDir()
+		if err := os.WriteFile(segmentPath(dir, 1), seg[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st := newStore()
+		if _, err := st.replayDurable(dir); err != nil {
+			t.Fatalf("cut at %d: replay = %v", cut, err)
+		}
+		if rec := st.jobs[job.ID]; rec == nil || rec.job.State != StateRunning || rec.art != nil {
+			t.Fatalf("cut at %d: replayed job is not running without artifacts", cut)
+		}
+		svc, err := New(Config{Workers: 1, DataDir: dir})
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		final := waitDone(t, svc, job.ID)
+		got, err := svc.Artifact(job.ID, "csv")
+		if cerr := svc.Close(context.Background()); cerr != nil {
+			t.Fatal(cerr)
+		}
+		if final.State != StateDone || err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("cut at %d: re-executed job ended %s with CSV %q (%v), want %q", cut, final.State, got, err, want)
+		}
+	}
+}
+
+// waitDone blocks on the job's event log until it is terminal — no
+// polling, so tests that restart a daemon many times stay fast.
+func waitDone(t *testing.T, svc *Service, id string) Job {
+	t.Helper()
+	rec, ok := svc.store.get(id)
+	if !ok {
+		t.Fatalf("no record for %s", id)
+	}
+	timeout := time.After(30 * time.Second)
+	for from := 0; ; {
+		evs, terminal, wait := rec.eventsFrom(from)
+		from += len(evs)
+		if terminal {
+			return rec.snapshot()
+		}
+		if wait != nil {
+			select {
+			case <-wait:
+			case <-timeout:
+				t.Fatalf("job %s never reached a terminal state", id)
+			}
+		}
+	}
+}
+
+// TestArtifactTooLargeFailsJob: artifacts that would not fit in one WAL
+// frame fail the job with ErrArtifactTooLarge — logged durably as failed
+// — rather than writing a frame replay would stop at. One buffer of just
+// over 3/8 of the bound, returned as both artifacts, crosses it once
+// base64-encoded, and the check never encodes it.
+func TestArtifactTooLargeFailsJob(t *testing.T) {
+	dataDir := t.TempDir()
+	svc, err := New(Config{Workers: 1, DataDir: dataDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := make([]byte, framing.MaxPayload*3/8+1)
+	svc.execute = func(ctx context.Context, rec *record) ([]byte, []byte, error) {
+		return big, big, nil
+	}
+	job, err := svc.Submit(scenarioSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitTerminal(t, svc, job.ID)
+	if final.State != StateFailed || !strings.Contains(final.Error, ErrArtifactTooLarge.Error()) {
+		t.Fatalf("job ended %s (%s), want failed with ErrArtifactTooLarge", final.State, final.Error)
+	}
+	if _, err := svc.Artifact(job.ID, "csv"); !errors.Is(err, ErrNotDone) {
+		t.Errorf("Artifact of the failed job = %v, want ErrNotDone", err)
+	}
+	if st := svc.Stats(); st.WALErrors != 0 {
+		t.Errorf("WALErrors = %d: the oversized frame reached the WAL", st.WALErrors)
+	}
+	if err := svc.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	svc2, err := New(Config{Workers: 1, DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc2.Close(context.Background())
-	if final := waitTerminal(t, svc2, job.ID); final.State != StateDone {
-		t.Fatalf("re-executed job ended %s (%s)", final.State, final.Error)
+	if got := mustJob(t, svc2, job.ID); got.State != StateFailed || got.Error != final.Error {
+		t.Errorf("replayed job = %s (%s), want the failure logged before the restart", got.State, got.Error)
 	}
-	got, err := svc2.Artifact(job.ID, "csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("re-executed artifact differs:\n%s\nvs\n%s", got, want)
+	if under := big[:len(big)-2048]; !artifactsFit(under, under) {
+		t.Error("artifacts 2 KB shorter each do not fit")
 	}
 }
 
@@ -624,6 +829,40 @@ func TestReplayRejectsRecordsTheStoreCannotWrite(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsMisplacedArtifacts: artifacts ride only on a done
+// state event, and a snapshot carries them only for a done job; anything
+// else is a record the store could not have written.
+func TestReplayRejectsMisplacedArtifacts(t *testing.T) {
+	spec := scenarioSpec(1)
+	spec.Normalize()
+	art := &artifacts{JSON: []byte("{}\n"), CSV: []byte("csv\n")}
+	dir := t.TempDir()
+	w, err := openWAL(dir, 0, DefaultSnapshotEvery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.append(walRecord{Kind: walKindSubmit, Job: "j000001", Spec: &spec})
+	w.append(walRecord{Kind: walKindEvent, Job: "j000001", Artifacts: art,
+		Event: &Event{Seq: 1, Job: "j000001", Type: EventState, State: StateRunning}})
+	w.close()
+	if _, err := newStore().replayDurable(dir); !errors.Is(err, ErrCorruptLog) {
+		t.Errorf("artifacts on a running event: replay = %v, want ErrCorruptLog", err)
+	}
+
+	dir = t.TempDir()
+	snap := walSnapshot{SchemaVersion: snapshotSchemaVersion, Jobs: []snapshotJob{{
+		Job:       Job{ID: "j000001", Spec: spec, State: StateQueued},
+		Events:    []Event{{Seq: 0, Job: "j000001", Type: EventState, State: StateQueued}},
+		Artifacts: art,
+	}}}
+	if err := writeSnapshot(dir, snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := newStore().replayDurable(dir); !errors.Is(err, ErrCorruptLog) {
+		t.Errorf("artifacts on a queued snapshot job: replay = %v, want ErrCorruptLog", err)
+	}
+}
+
 // recordedSegment runs a short durable daemon — a quick sweep and a
 // scenario job to done, a third job cancelled while queued behind them —
 // and returns its WAL segment and the segment's JSON payloads in order.
@@ -665,6 +904,9 @@ func recordedSegment(tb testing.TB) (seg []byte, payloads [][]byte) {
 	}
 	return seg, payloads
 }
+
+// frame frames one payload with the WAL's length+CRC header.
+func frame(payload []byte) []byte { return framing.Encode(payload) }
 
 // framed frames each payload with the WAL's length+CRC header.
 func framed(payloads [][]byte) [][]byte {
@@ -722,11 +964,32 @@ func FuzzWALReplay(f *testing.F) {
 	seg, payloads := recordedSegment(f)
 	f.Add(seg, false)
 	f.Add(bytes.Join(payloads, []byte("\n")), true)
+	// A job whose done frame carries artifacts with every byte value.
+	spec := scenarioSpec(1)
+	spec.Normalize()
+	every := make([]byte, 256)
+	for i := range every {
+		every[i] = byte(i)
+	}
+	var done [][]byte
+	for _, wr := range []walRecord{
+		{Kind: walKindSubmit, Job: "j000001", Spec: &spec},
+		{Kind: walKindEvent, Job: "j000001", Event: &Event{Seq: 1, Job: "j000001", Type: EventState, State: StateRunning}},
+		{Kind: walKindEvent, Job: "j000001", Event: &Event{Seq: 2, Job: "j000001", Type: EventState, State: StateDone},
+			Artifacts: &artifacts{JSON: []byte("{}\n"), CSV: every}},
+	} {
+		payload, err := json.Marshal(wr)
+		if err != nil {
+			f.Fatal(err)
+		}
+		done = append(done, payload)
+	}
+	f.Add(bytes.Join(done, []byte("\n")), true)
 	recorded := newStore()
 	if err := readFrames(seg, recorded.applyWALRecord); err != nil {
 		f.Fatal(err)
 	}
-	dataDir := f.TempDir() // holds no artifacts: recovery requeues done jobs too
+	dataDir := f.TempDir() // holds no legacy artifact files: recovery requeues done jobs whose records lack artifacts
 	f.Fuzz(func(t *testing.T, data []byte, reframe bool) {
 		if reframe {
 			data = bytes.Join(framed(bytes.Split(data, []byte("\n"))), nil)
@@ -739,6 +1002,11 @@ func FuzzWALReplay(f *testing.F) {
 			return
 		}
 		checkReplayedStore(t, st)
+		for id, rec := range st.jobs {
+			if rec.art != nil && rec.job.State != StateDone {
+				t.Fatalf("job %s is %s but holds artifacts", id, rec.job.State)
+			}
+		}
 		if !reframe {
 			for id, rec := range st.jobs {
 				want := recorded.jobs[id]
@@ -746,6 +1014,11 @@ func FuzzWALReplay(f *testing.F) {
 					len(rec.events) > len(want.events) ||
 					mustJSON(t, rec.events) != mustJSON(t, want.events[:len(rec.events)]) {
 					t.Fatalf("job %s replayed to a log the recorded run never wrote: %+v", id, rec.events)
+				}
+				// The JSON artifacts carry timings, which differ between
+				// fuzz workers; the CSVs are byte-stable.
+				if rec.art != nil && (want.art == nil || !bytes.Equal(rec.art.CSV, want.art.CSV)) {
+					t.Fatalf("job %s replayed artifacts the recorded run never wrote", id)
 				}
 			}
 		}
@@ -759,6 +1032,11 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		if s.qlive != queued || len(s.qitems) != queued {
 			t.Fatalf("recovery queued %d (%d entries) of %d queued jobs", s.qlive, len(s.qitems), queued)
+		}
+		for _, job := range st.list() {
+			if rec, _ := st.get(job.ID); job.State == StateDone && rec.art == nil {
+				t.Fatalf("recovery left done job %s without artifacts", job.ID)
+			}
 		}
 	})
 }
