@@ -16,8 +16,9 @@
 //     sweep.Report plus distribution accounting (shards, reassignments,
 //     steals, cache provenance).
 //   - Shards are contiguous chunks of cache-miss grid-point indexes,
-//     executed remotely as KindShard jobs (internal/service) through
-//     sweep.RunPoints on each worker.
+//     executed remotely as KindShard jobs (internal/service) by the same
+//     grid executor that runs a daemon's sweep jobs, through
+//     sweep.RunPointsContext on each worker.
 //   - NewDistributor and SynthEvaluator adapt Dispatch to the service
 //     layer's sweep jobs and to the synthesis search.
 //

@@ -56,9 +56,9 @@ func RunSweep(sp SweepSpec, cfg Config, progress func(sweep.Progress)) ([]*Table
 }
 
 // RunSweepContext is RunSweep with cooperative cancellation: the sweep
-// stops claiming new grid points once ctx is done (see sweep.RunContext
-// for the exact granularity and cache guarantees). The service layer uses
-// it to cancel jobs and to drain on shutdown.
+// stops claiming new grid points once ctx is done (see
+// sweep.RunPointsContext for the exact granularity and cache guarantees).
+// `antsim -sweep` uses it to stop at a point boundary on SIGINT or SIGTERM.
 func RunSweepContext(ctx context.Context, sp SweepSpec, cfg Config, progress func(sweep.Progress)) ([]*Table, *sweep.Report, error) {
 	opts := sweep.Options{
 		Seed: cfg.Seed,

@@ -340,16 +340,31 @@ func TestSubmitRejectsMalformedAndUnknownFields(t *testing.T) {
 }
 
 // TestSubmitRejectsOversizedScenario: a scenario job asking for more than
-// sim.MaxAgents agents is a 400, not a job. Validation refuses it before
-// anything sized by n is allocated, so nothing is queued, logged or
-// replayed by a restarted daemon, and the bound itself still validates.
+// sim.MaxAgents agents, or for more than maxWorkers engine workers, is a
+// 400, not a job. Validation refuses it before anything sized by n is
+// allocated, so nothing is queued, logged or replayed by a restarted
+// daemon, and the bounds themselves still validate.
 func TestSubmitRejectsOversizedScenario(t *testing.T) {
 	dir := t.TempDir()
 	svc, err := New(Config{Workers: 1, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Should a hostile spec get through, it fails here instead of
+	// starting millions of engine goroutines.
+	svc.execute = func(context.Context, *record) ([]byte, []byte, error) {
+		t.Error("a rejected spec reached the executor")
+		return nil, nil, errors.New("rejected spec executed")
+	}
 	h := svc.Handler()
+	for _, workers := range []int64{1 << 40, sim.MaxAgents, maxWorkers + 1} {
+		body := fmt.Sprintf(`{"kind":"scenario","scenario":"open","n":%d,"workers":%d}`, sim.MaxAgents, workers)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+		if want := fmt.Sprintf("[0, %d]", maxWorkers); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("workers=%d: status %d, body %s; want 400 naming the bound %s", workers, rec.Code, rec.Body, want)
+		}
+	}
 	for _, n := range []int64{1 << 40, sim.MaxAgents + 1} {
 		body := fmt.Sprintf(`{"kind":"scenario","scenario":"open","n":%d}`, n)
 		rec := httptest.NewRecorder()
@@ -390,6 +405,10 @@ func TestSubmitRejectsOversizedScenario(t *testing.T) {
 	}
 	if _, err := restarted.Submit(spec); !errors.Is(err, ErrInvalidSpec) || !errors.Is(err, sim.ErrTooManyAgents) {
 		t.Errorf("Submit(n = MaxAgents+1) = %v, want ErrInvalidSpec wrapping ErrTooManyAgents", err)
+	}
+	spec.N, spec.Workers = sim.MaxAgents, maxWorkers
+	if err := spec.Validate(); err != nil {
+		t.Errorf("workers = maxWorkers: %v", err)
 	}
 }
 

@@ -45,8 +45,9 @@ type JobState string
 // The job lifecycle states. Transitions: queued → running → done | failed;
 // queued → cancelled (cancel or shutdown before a worker claims the job);
 // running → cancelled (cancel or shutdown drain timeout — observed at the
-// next grid-point boundary for sweep jobs, by abandoning the in-flight
-// engine call for scenario jobs). done, failed and cancelled are terminal.
+// next grid-point boundary for sweep and shard jobs, which share one grid
+// executor, and by abandoning the in-flight engine call for scenario
+// jobs). done, failed and cancelled are terminal.
 const (
 	// StateQueued: accepted and waiting for a worker.
 	StateQueued JobState = "queued"
@@ -83,6 +84,13 @@ const (
 	// cache hits without recomputing) and returns per-point results.
 	KindShard = "shard"
 )
+
+// maxWorkers bounds JobSpec.Workers. A scenario job's engine starts up
+// to min(workers, n) goroutines per trial, with n up to sim.MaxAgents, so
+// the bound keeps a spec from asking for millions of them. It is a fixed
+// constant, not the host's core count, so a coordinator and its workers
+// accept the same specs.
+const maxWorkers = 1024
 
 // inlineSynth is the sweep id a shard artifact records for an inline
 // synthesis grid. It is also the retired job kind that scored synthesis
@@ -150,7 +158,7 @@ type JobSpec struct {
 	Seed uint64 `json:"seed"`
 	// Workers bounds the job's internal concurrency: concurrent grid
 	// points for KindSweep and KindShard, engine workers for KindScenario
-	// (0 = GOMAXPROCS). Results never depend on it.
+	// (0 = GOMAXPROCS, at most 1024). Results never depend on it.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -279,8 +287,8 @@ func (s JobSpec) Validate() error {
 	default:
 		return fmt.Errorf("service: unknown job kind %q (valid: %q, %q, %q)", s.Kind, KindSweep, KindScenario, KindShard)
 	}
-	if s.Workers < 0 {
-		return fmt.Errorf("service: workers must be ≥ 0, got %d", s.Workers)
+	if s.Workers < 0 || s.Workers > maxWorkers {
+		return fmt.Errorf("service: workers must be in [0, %d], got %d", maxWorkers, s.Workers)
 	}
 	return nil
 }
@@ -289,9 +297,9 @@ func (s JobSpec) Validate() error {
 // Sweep names or, when SynthSpecs is set, the synthesis evaluation grid
 // over those candidates. It returns the expanded grid, the kernel that
 // computes one of its points, and the sweep id the shard artifact
-// records ("synth" for an inline grid). Validate, the shard executor and
-// the cluster coordinator all resolve grids here, so a coordinator and
-// its workers expand identical grids.
+// records ("synth" for an inline grid). Validate, the grid executor of
+// sweep and shard jobs and the cluster coordinator all resolve grids
+// here, so a coordinator and its workers expand identical grids.
 func (s JobSpec) Grid() (sweep.Grid, sweep.PointFunc, string, error) {
 	if len(s.SynthSpecs) != 0 {
 		if s.Sweep != "" || s.Quick {

@@ -621,34 +621,35 @@ func (s *Service) runOne(rec *record) {
 func (s *Service) executeJob(ctx context.Context, rec *record) ([]byte, []byte, error) {
 	spec := rec.snapshot().Spec
 	switch spec.Kind {
-	case KindSweep:
-		return s.executeSweep(ctx, rec, spec)
+	case KindSweep, KindShard:
+		return s.executeGrid(ctx, rec, spec)
 	case KindScenario:
 		return s.executeScenario(ctx, rec, spec)
-	case KindShard:
-		return s.executeShard(ctx, rec, spec)
 	default:
 		return nil, nil, fmt.Errorf("service: unknown job kind %q", spec.Kind)
 	}
 }
 
-// executeSweep runs a registered sweep exactly like `antsim -sweep`: same
-// config derivation, same Summary artifacts. With a CacheDir the run
-// resumes from previously computed points; cache provenance shows up in
-// the JSON artifact's metadata but never changes the CSV bytes.
-func (s *Service) executeSweep(ctx context.Context, rec *record, spec JobSpec) ([]byte, []byte, error) {
-	sp, err := experiment.LookupSweep(spec.Sweep)
+// executeGrid runs a sweep or shard job's grid (JobSpec.Grid) exactly like
+// `antsim -sweep`: the listed points, or every point when Points is empty,
+// through sweep.RunPointsContext, serving cache hits from CacheDir. Only a
+// sweep job offers itself to the Distributor first; a shard job is what a
+// fleet runs. The JSON artifact is the summary for a sweep job and the
+// per-point ShardArtifact for a shard job; both serve the summary CSV,
+// whose bytes cache provenance never changes.
+func (s *Service) executeGrid(ctx context.Context, rec *record, spec JobSpec) ([]byte, []byte, error) {
+	g, kernel, label, err := spec.Grid()
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := experiment.Config{
-		Seed:     spec.Seed,
-		Quick:    spec.Quick,
-		Workers:  spec.Workers,
-		CacheDir: s.cfg.CacheDir,
-		Resume:   s.cfg.CacheDir != "",
+	idxs := spec.Points
+	if len(idxs) == 0 {
+		idxs = make([]int, g.Size())
+		for i := range idxs {
+			idxs[i] = i
+		}
 	}
-	rec.setTotal(sp.Grid(cfg).Size())
+	rec.setTotal(len(idxs))
 	progress := func(p sweep.Progress) {
 		s.pointsDone.Add(1)
 		if p.Cached {
@@ -657,7 +658,7 @@ func (s *Service) executeSweep(ctx context.Context, rec *record, spec JobSpec) (
 		rec.progress(p.Done, p.Total, p.Point.String(), p.Cached)
 	}
 	var rep *sweep.Report
-	if d := s.getDistributor(); d != nil {
+	if d := s.getDistributor(); spec.Kind == KindSweep && d != nil {
 		// Distributed execution: the cluster layer shards the grid across
 		// joined workers and merges a report identical to a local run's.
 		// handled=false (no live fleet) falls through to local execution.
@@ -670,18 +671,36 @@ func (s *Service) executeSweep(ctx context.Context, rec *record, spec JobSpec) (
 		}
 	}
 	if rep == nil {
-		_, lrep, err := experiment.RunSweepContext(ctx, sp, cfg, progress)
-		if err != nil {
+		opts := sweep.Options{
+			Seed: spec.Seed,
+			// Point-level sharding is the parallelism: each point runs its
+			// engines single-threaded, as under `antsim -sweep`.
+			Shards:   spec.Workers,
+			Workers:  1,
+			Progress: progress,
+		}
+		if s.cfg.CacheDir != "" {
+			cache, err := sweep.NewCache(s.cfg.CacheDir)
+			if err != nil {
+				return nil, nil, err
+			}
+			opts.Cache = cache
+			opts.Resume = true
+		}
+		if rep, err = sweep.RunPointsContext(ctx, g, idxs, kernel, opts); err != nil {
 			return nil, nil, err
 		}
-		rep = lrep
 	}
 	sum := rep.Summary()
-	jsonB, err := sum.JSON()
+	var art any = sum
+	if spec.Kind == KindShard {
+		art = newShardArtifact(label, rep)
+	}
+	jsonB, err := json.MarshalIndent(art, "", "  ")
 	if err != nil {
 		return nil, nil, err
 	}
-	return jsonB, []byte(sum.CSV()), nil
+	return append(jsonB, '\n'), []byte(sum.CSV()), nil
 }
 
 // scenarioArtifactSchemaVersion versions the scenario-job artifact layout.

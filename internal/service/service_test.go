@@ -58,6 +58,10 @@ func TestJobSpecValidate(t *testing.T) {
 		{"no kind", JobSpec{}, false},
 		{"bad kind", JobSpec{Kind: "bogus"}, false},
 		{"negative workers", JobSpec{Kind: KindSweep, Sweep: "s1", Workers: -1}, false},
+		{"workers at bound", JobSpec{Kind: KindSweep, Sweep: "s1", Workers: maxWorkers}, true},
+		{"sweep workers above bound", JobSpec{Kind: KindSweep, Sweep: "s1", Workers: maxWorkers + 1}, false},
+		{"shard workers above bound", JobSpec{Kind: KindShard, Sweep: "s1", Workers: maxWorkers + 1}, false},
+		{"scenario workers above bound", JobSpec{Kind: KindScenario, Scenario: "open", D: 8, N: 4, Trials: 1, Workers: maxWorkers + 1}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

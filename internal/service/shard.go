@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 
@@ -66,62 +65,19 @@ func ParseShardArtifact(data []byte) (*ShardArtifact, error) {
 	return &art, nil
 }
 
-// executeShard runs points of a shard job's grid (JobSpec.Grid), all of
-// them when Points is empty, through sweep.RunPoints — same config
-// derivation and cache behavior as a full sweep job, but returning
-// per-point results instead of an aggregate summary. With a CacheDir,
-// points the worker already holds are served as cache hits (no kernel
-// call), which is what makes cache federation ship metadata instead of
-// recomputation.
-func (s *Service) executeShard(ctx context.Context, rec *record, spec JobSpec) ([]byte, []byte, error) {
-	g, kernel, label, err := spec.Grid()
-	if err != nil {
-		return nil, nil, err
-	}
-	idxs := spec.Points
-	if len(idxs) == 0 {
-		idxs = make([]int, g.Size())
-		for i := range idxs {
-			idxs[i] = i
-		}
-	}
-	rec.setTotal(len(idxs))
-	opts := sweep.Options{
-		Seed: spec.Seed,
-		// Mirror the full-sweep execution exactly: point-level sharding is
-		// the parallelism, each point runs its engines single-threaded.
-		Shards:  spec.Workers,
-		Workers: 1,
-		Progress: func(p sweep.Progress) {
-			s.pointsDone.Add(1)
-			if p.Cached {
-				s.pointsCached.Add(1)
-			}
-			rec.progress(p.Done, p.Total, p.Point.String(), p.Cached)
-		},
-	}
-	if s.cfg.CacheDir != "" {
-		cache, err := sweep.NewCache(s.cfg.CacheDir)
-		if err != nil {
-			return nil, nil, err
-		}
-		opts.Cache = cache
-		opts.Resume = true
-	}
-	prs, err := sweep.RunPointsContext(ctx, g, idxs, kernel, opts)
-	if err != nil {
-		return nil, nil, err
-	}
+// newShardArtifact builds a shard job's artifact from its report,
+// recording label as the sweep id.
+func newShardArtifact(label string, rep *sweep.Report) *ShardArtifact {
 	art := &ShardArtifact{
 		SchemaVersion: ShardArtifactSchemaVersion,
 		Sweep:         label,
-		Grid:          g.Name,
-		GridVersion:   g.Version,
-		Seed:          spec.Seed,
-		Trials:        g.Trials,
-		Points:        make([]ShardPoint, len(prs)),
+		Grid:          rep.Grid.Name,
+		GridVersion:   rep.Grid.Version,
+		Seed:          rep.Seed,
+		Trials:        rep.Grid.Trials,
+		Points:        make([]ShardPoint, len(rep.Points)),
 	}
-	for i, pr := range prs {
+	for i, pr := range rep.Points {
 		art.Points[i] = ShardPoint{
 			Index:  pr.Point.Index,
 			Params: pr.Point.Params,
@@ -129,13 +85,5 @@ func (s *Service) executeShard(ctx context.Context, rec *record, spec JobSpec) (
 			Result: pr.Result,
 		}
 	}
-	jsonB, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return nil, nil, err
-	}
-	jsonB = append(jsonB, '\n')
-	// The CSV rendering reuses the summary table restricted to the shard's
-	// rows — handy for eyeballing a shard, not used by the coordinator.
-	rep := &sweep.Report{Grid: g, Seed: spec.Seed, Points: prs}
-	return jsonB, []byte(rep.Summary().CSV()), nil
+	return art
 }

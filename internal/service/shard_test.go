@@ -6,9 +6,11 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/experiment"
+	"repro/internal/sweep"
 )
 
 // twoStateSpec is a buildable two-state candidate machine.
@@ -322,5 +324,63 @@ func TestNormalizeMapsRetiredSynthKind(t *testing.T) {
 	}
 	if err := spec.Validate(); err != nil {
 		t.Errorf("normalized synth spec does not validate: %v", err)
+	}
+}
+
+// TestOnlySweepJobsConsultDistributor pins the grid executor's dispatch
+// rule. A sweep job offers itself to the installed Distributor exactly
+// once and runs locally, byte-identical to the CLI, when it declines; a
+// distributor error fails the job with that message. A shard job, with
+// or without points, is what a fleet runs, so it never consults it.
+func TestOnlySweepJobsConsultDistributor(t *testing.T) {
+	svc, _ := newTestServer(t, Config{Workers: 1})
+	var calls atomic.Int64
+	stub := func(fail error) Distributor {
+		return func(context.Context, JobSpec, func(sweep.Progress)) (*sweep.Report, bool, error) {
+			calls.Add(1)
+			return nil, fail != nil, fail
+		}
+	}
+	run := func(spec JobSpec) Job {
+		t.Helper()
+		calls.Store(0)
+		job, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return waitTerminal(t, svc, job.ID)
+	}
+	_, wantCSV := cliSweepArtifacts(t, "s1", experiment.Config{Seed: 1, Quick: true, Workers: 1})
+	sweepSpec := JobSpec{Kind: KindSweep, Sweep: "s1", Quick: true, Seed: 1}
+
+	svc.SetDistributor(stub(nil)) // declines: no live fleet
+	final := run(sweepSpec)
+	if final.State != StateDone || calls.Load() != 1 {
+		t.Fatalf("declined sweep job: state %s (%s), %d distributor calls, want done after 1", final.State, final.Error, calls.Load())
+	}
+	if csvB, err := svc.Artifact(final.ID, "csv"); err != nil || string(csvB) != wantCSV {
+		t.Errorf("declined sweep job CSV (err %v):\n%s\nwant the CLI's:\n%s", err, csvB, wantCSV)
+	}
+
+	for name, spec := range map[string]JobSpec{
+		"shard over every point": {Kind: KindShard, Sweep: "s1", Quick: true, Seed: 1},
+		"shard with points":      {Kind: KindShard, Sweep: "s1", Quick: true, Seed: 1, Points: []int{1, 0}},
+		"inline-grid shard":      inlineShard(twoStateSpec),
+	} {
+		final := run(spec)
+		if final.State != StateDone || calls.Load() != 0 {
+			t.Errorf("%s: state %s (%s), %d distributor calls, want done after 0", name, final.State, final.Error, calls.Load())
+		}
+		if len(spec.Points) == 0 && spec.Sweep != "" {
+			if csvB, err := svc.Artifact(final.ID, "csv"); err != nil || string(csvB) != wantCSV {
+				t.Errorf("%s: CSV (err %v) differs from the CLI's:\n%s", name, err, csvB)
+			}
+		}
+	}
+
+	svc.SetDistributor(stub(errors.New("fleet on fire")))
+	final = run(sweepSpec)
+	if final.State != StateFailed || final.Error != "fleet on fire" || calls.Load() != 1 {
+		t.Errorf("failing distributor: state %s (%q), %d calls, want failed with its message after 1", final.State, final.Error, calls.Load())
 	}
 }

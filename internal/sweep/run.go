@@ -52,13 +52,14 @@ type PointResult struct {
 	Result *Result `json:"result"`
 }
 
-// Report is the outcome of one sweep run: every point of the grid, in
-// expansion order, plus run accounting.
+// Report is the outcome of one sweep run: the points it ran, plus run
+// accounting.
 type Report struct {
 	Grid Grid   `json:"grid"`
 	Seed uint64 `json:"seed"`
-	// Points holds one entry per grid point, in expansion order
-	// regardless of sharding.
+	// Points holds one entry per point run, in the order requested (for
+	// a full run, every grid point in expansion order) regardless of
+	// sharding.
 	Points []PointResult `json:"points"`
 	// Computed and CacheHits partition the points by provenance.
 	Computed  int `json:"computed"`
@@ -77,22 +78,55 @@ func Run(g Grid, fn PointFunc, opts Options) (*Report, error) {
 	return RunContext(context.Background(), g, fn, opts)
 }
 
-// RunContext is Run with cooperative cancellation: workers stop claiming
-// new grid points as soon as ctx is done and the call returns ctx's error.
-// Cancellation granularity is the point boundary — a kernel already in
-// flight runs to completion, and its result is committed to the cache
-// before the workers wind down, so a cancelled run never leaves a partial
-// or corrupt entry behind and a later Resume run picks up exactly where
-// the cancellation struck.
+// RunContext is Run with cooperative cancellation: RunPointsContext over
+// every index of the grid, in expansion order.
 func RunContext(ctx context.Context, g Grid, fn PointFunc, opts Options) (*Report, error) {
+	idxs := make([]int, g.Size())
+	for i := range idxs {
+		idxs[i] = i
+	}
+	return RunPointsContext(ctx, g, idxs, fn, opts)
+}
+
+// RunPointsContext evaluates the grid points with the given expansion
+// indexes, in the order requested, and reports them with run accounting.
+// A full run (RunContext) lists every index; a shard of a distributed run
+// (internal/cluster) lists the indexes one worker computes. Results are
+// identical to the corresponding slice of a full run: cache keys depend on
+// the point's parameters, never on its index or on which indexes ride
+// along. Indexes must be unique and in range.
+//
+// Cancellation granularity is the point boundary: workers stop claiming
+// new points as soon as ctx is done and the call returns ctx's error. A
+// kernel already in flight runs to completion, and its result is committed
+// to the cache before the workers wind down, so a cancelled run never
+// leaves a partial or corrupt entry behind and a later Resume run picks up
+// exactly where the cancellation struck.
+func RunPointsContext(ctx context.Context, g Grid, idxs []int, fn PointFunc, opts Options) (*Report, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	if fn == nil {
 		return nil, errors.New("sweep: nil point function")
 	}
+	if len(idxs) == 0 {
+		return nil, errors.New("sweep: no point indexes to run")
+	}
+	all := g.Points()
+	seen := make([]bool, len(all))
+	points := make([]Point, len(idxs))
+	for i, idx := range idxs {
+		if idx < 0 || idx >= len(all) {
+			return nil, fmt.Errorf("sweep: point index %d out of range [0,%d) of grid %q", idx, len(all), g.Name)
+		}
+		if seen[idx] {
+			return nil, fmt.Errorf("sweep: point index %d requested twice", idx)
+		}
+		seen[idx] = true
+		points[i] = all[idx]
+	}
 	start := time.Now()
-	results, err := runPoints(ctx, g, g.Points(), fn, opts)
+	results, err := runPoints(ctx, g, points, fn, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -107,10 +141,10 @@ func RunContext(ctx context.Context, g Grid, fn PointFunc, opts Options) (*Repor
 	return rep, nil
 }
 
-// runPoints is the shared worker-pool core of RunContext and
-// RunPointsContext: points are claimed off an atomic counter by a pool of
-// goroutines, each slot index owns its entry of the result slice, and the
-// first kernel error (or the context) stops the claim loop.
+// runPoints is the worker-pool core of RunPointsContext: points are
+// claimed off an atomic counter by a pool of goroutines, each slot index
+// owns its entry of the result slice, and the first kernel error (or the
+// context) stops the claim loop.
 func runPoints(ctx context.Context, g Grid, points []Point, fn PointFunc, opts Options) ([]PointResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -176,45 +210,6 @@ func runPoints(ctx context.Context, g Grid, points []Point, fn PointFunc, opts O
 		return nil, fmt.Errorf("sweep: run of grid %q cancelled: %w", g.Name, err)
 	}
 	return out, nil
-}
-
-// RunPoints evaluates only the grid points with the given expansion
-// indexes. It is the shard kernel of distributed sweeps (internal/cluster):
-// a worker receives a set of indexes, computes exactly those points —
-// consulting and feeding its local cache like a full run would — and
-// returns them in the order requested. Results are identical to the
-// corresponding slice of a full Run: cache keys depend on the point's
-// parameters, never on its index or on which indexes ride along.
-func RunPoints(g Grid, idxs []int, fn PointFunc, opts Options) ([]PointResult, error) {
-	return RunPointsContext(context.Background(), g, idxs, fn, opts)
-}
-
-// RunPointsContext is RunPoints with cooperative cancellation at point
-// boundaries, exactly like RunContext.
-func RunPointsContext(ctx context.Context, g Grid, idxs []int, fn PointFunc, opts Options) ([]PointResult, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if fn == nil {
-		return nil, errors.New("sweep: nil point function")
-	}
-	if len(idxs) == 0 {
-		return nil, errors.New("sweep: no point indexes to run")
-	}
-	all := g.Points()
-	seen := make(map[int]bool, len(idxs))
-	points := make([]Point, len(idxs))
-	for i, idx := range idxs {
-		if idx < 0 || idx >= len(all) {
-			return nil, fmt.Errorf("sweep: point index %d out of range [0,%d) of grid %q", idx, len(all), g.Name)
-		}
-		if seen[idx] {
-			return nil, fmt.Errorf("sweep: point index %d requested twice", idx)
-		}
-		seen[idx] = true
-		points[i] = all[idx]
-	}
-	return runPoints(ctx, g, points, fn, opts)
 }
 
 // runPoint evaluates one point: cache lookup (when resuming), kernel call,

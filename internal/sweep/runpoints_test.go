@@ -10,7 +10,7 @@ import (
 
 // TestRunPointsMatchesFullRun is the shard-equality contract behind
 // distributed sweeps: evaluating any subset of grid points through
-// RunPoints yields exactly the results a full Run produces for those
+// RunPointsContext yields exactly the results a full Run produces for those
 // points — same params, same samples, same values — regardless of which
 // other indexes ride along in the subset.
 func TestRunPointsMatchesFullRun(t *testing.T) {
@@ -20,12 +20,13 @@ func TestRunPointsMatchesFullRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, idxs := range [][]int{{0}, {5}, {1, 3}, {4, 0, 2}, {0, 1, 2, 3, 4, 5}} {
-		got, err := RunPoints(g, idxs, testKernel, Options{Seed: 11, Shards: 2})
+		rep, err := RunPointsContext(context.Background(), g, idxs, testKernel, Options{Seed: 11, Shards: 2})
 		if err != nil {
-			t.Fatalf("RunPoints(%v): %v", idxs, err)
+			t.Fatalf("RunPointsContext(%v): %v", idxs, err)
 		}
+		got := rep.Points
 		if len(got) != len(idxs) {
-			t.Fatalf("RunPoints(%v) returned %d results", idxs, len(got))
+			t.Fatalf("RunPointsContext(%v) returned %d results", idxs, len(got))
 		}
 		for i, idx := range idxs {
 			want := full.Points[idx]
@@ -52,7 +53,7 @@ func TestRunPointsWarmCacheZeroKernelCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	var calls atomic.Int64
-	got, err := RunPoints(g, []int{1, 4, 5}, func(p Point, ctx Ctx) (*Result, error) {
+	rep, err := RunPointsContext(context.Background(), g, []int{1, 4, 5}, func(p Point, ctx Ctx) (*Result, error) {
 		calls.Add(1)
 		return testKernel(p, ctx)
 	}, Options{Seed: 3, Cache: c, Resume: true})
@@ -62,7 +63,7 @@ func TestRunPointsWarmCacheZeroKernelCalls(t *testing.T) {
 	if calls.Load() != 0 {
 		t.Errorf("warm-cache shard made %d kernel calls, want 0", calls.Load())
 	}
-	for _, pr := range got {
+	for _, pr := range rep.Points {
 		if !pr.Cached {
 			t.Errorf("point %d not marked cached", pr.Point.Index)
 		}
@@ -71,11 +72,11 @@ func TestRunPointsWarmCacheZeroKernelCalls(t *testing.T) {
 	// A cold cache computes and writes back: a second identical shard run
 	// is then fully cached.
 	c2 := newTestCache(t)
-	if _, err := RunPoints(g, []int{2, 3}, testKernel, Options{Seed: 3, Cache: c2, Resume: true}); err != nil {
+	if _, err := RunPointsContext(context.Background(), g, []int{2, 3}, testKernel, Options{Seed: 3, Cache: c2, Resume: true}); err != nil {
 		t.Fatal(err)
 	}
 	calls.Store(0)
-	if _, err := RunPoints(g, []int{2, 3}, func(p Point, ctx Ctx) (*Result, error) {
+	if _, err := RunPointsContext(context.Background(), g, []int{2, 3}, func(p Point, ctx Ctx) (*Result, error) {
 		calls.Add(1)
 		return testKernel(p, ctx)
 	}, Options{Seed: 3, Cache: c2, Resume: true}); err != nil {
@@ -101,9 +102,9 @@ func TestRunPointsValidatesIndexes(t *testing.T) {
 		{[]int{2, 2}, "requested twice"},
 	}
 	for _, tc := range cases {
-		_, err := RunPoints(g, tc.idxs, testKernel, Options{Seed: 1})
+		_, err := RunPointsContext(context.Background(), g, tc.idxs, testKernel, Options{Seed: 1})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("RunPoints(%v) err = %v, want substring %q", tc.idxs, err, tc.want)
+			t.Errorf("RunPointsContext(%v) err = %v, want substring %q", tc.idxs, err, tc.want)
 		}
 	}
 }
