@@ -4,6 +4,10 @@ import (
 	"testing"
 
 	ants "repro"
+	"repro/internal/automata"
+	"repro/internal/baseline"
+	"repro/internal/search"
+	"repro/internal/sim"
 )
 
 func TestFacadeNonUniformSearch(t *testing.T) {
@@ -58,14 +62,14 @@ func TestFacadeMachines(t *testing.T) {
 	if len(analysis.Recurrent) != 1 {
 		t.Errorf("random walk recurrent classes = %d", len(analysis.Recurrent))
 	}
-	dm, err := ants.DriftLineMachine(2)
+	dm, err := automata.DriftLineMachine(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dm.NumStates() != 4 {
 		t.Errorf("drift machine states = %d, want 4", dm.NumStates())
 	}
-	am, err := ants.Algorithm1Machine(8)
+	am, err := search.Algorithm1Machine(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,13 +82,13 @@ func TestFacadeBaselines(t *testing.T) {
 	if f := ants.RandomWalkSearch(); f == nil {
 		t.Error("nil random walk factory")
 	}
-	if f := ants.SpiralSearch(); f == nil {
+	if f := baseline.SpiralFactory(); f == nil {
 		t.Error("nil spiral factory")
 	}
 	if _, err := ants.FeinermanSearch(0); err == nil {
 		t.Error("feinerman with n=0 should fail")
 	}
-	f, err := ants.MachineSearch(ants.RandomWalkMachine(), 100)
+	f, err := sim.MachineFactory(ants.RandomWalkMachine(), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,38 +120,5 @@ func TestFacadePlacedTrials(t *testing.T) {
 	}
 	if st.FoundFrac < 0.8 {
 		t.Errorf("found fraction = %v", st.FoundFrac)
-	}
-}
-
-func TestFacadeDirections(t *testing.T) {
-	p := ants.Origin.Move(ants.Up).Move(ants.Right)
-	if p != (ants.Point{X: 1, Y: 1}) {
-		t.Errorf("moved to %v", p)
-	}
-	if ants.Up.Opposite() != ants.Down || ants.Left.Opposite() != ants.Right {
-		t.Error("direction opposites broken")
-	}
-}
-
-func TestFacadeRounds(t *testing.T) {
-	res, err := ants.RunRounds(ants.RoundsConfig{
-		Machine:   ants.RandomWalkMachine(),
-		NumAgents: 4,
-		Rounds:    2000,
-		Target:    ants.Point{X: 1, Y: 1},
-		HasTarget: true,
-	}, nil, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found {
-		t.Error("synchronous walk should find a distance-1 target")
-	}
-	curve, err := ants.CoverageCurve(ants.RandomWalkMachine(), 2, 10, []uint64{10, 100}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curve) != 2 || curve[1] < curve[0] {
-		t.Errorf("coverage curve = %v", curve)
 	}
 }

@@ -12,7 +12,7 @@ import (
 	"strings"
 	"testing"
 
-	ants "repro"
+	"repro/internal/service"
 )
 
 // TestREADMEFlagTableMatchesCode asserts the README's "CLI flags" table
@@ -152,7 +152,7 @@ func TestAPIDocCoversRouteTable(t *testing.T) {
 	}
 
 	registered := map[string]bool{}
-	for _, rt := range ants.ServiceRoutes() {
+	for _, rt := range service.RouteTable() {
 		key := rt.Method + " " + rt.Pattern
 		registered[key] = true
 		if !documented[key] {

@@ -1,6 +1,7 @@
 package ants_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -147,4 +148,20 @@ func ExampleRunSweep_cached() {
 	// first run:  2 computed, 0 cached
 	// second run: 0 computed, 2 cached
 	// identical tables: true
+}
+
+// ExampleSynthesize runs a tiny design-space search: one annealing
+// generation over the two-state machines, every candidate scored
+// in-process against the D²/n + D lower bound.
+func ExampleSynthesize() {
+	cfg := ants.SynthConfig{MinStates: 2, MaxStates: 2, Generations: 1, Population: 2, Seed: 1}.WithDefaults(true)
+	res, err := ants.Synthesize(context.Background(), cfg, &ants.SynthLocalEvaluator{Eval: cfg.Eval, Seed: cfg.Seed})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	for _, b := range res.Budgets {
+		fmt.Printf("budget %d: %d states, χ = %.0f\n", b.Budget, b.States, b.Chi)
+	}
+	// Output: budget 2: 2 states, χ = 1
 }

@@ -7,6 +7,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -130,6 +132,131 @@ func TestServiceDocCoverage(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestFacadeExportsHaveUsers keeps the facade (ants.go) to the names its
+// users call: every exported name must be referenced by an examples/
+// program, README.md, a docs/ page or a root Example function, or be named
+// in the signature of a facade function that is (so callers can declare
+// what it takes and returns).
+func TestFacadeExportsHaveUsers(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "ants.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exported []string
+	sigs := map[string]*ast.FuncType{}
+	for _, decl := range facade.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				exported = append(exported, d.Name.Name)
+				sigs[d.Name.Name] = d.Type
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					if sp.Name.IsExported() {
+						exported = append(exported, sp.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, name := range sp.Names {
+						if name.IsExported() {
+							exported = append(exported, name.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(exported) == 0 {
+		t.Fatal("ants.go exports nothing — is the test running from the repo root?")
+	}
+
+	used := map[string]bool{}
+	docRef := regexp.MustCompile(`\bants\.([A-Z]\w*)`)
+	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range append(docs, "README.md") {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range docRef.FindAllStringSubmatch(string(data), -1) {
+			used[m[1]] = true
+		}
+	}
+	markCalls := func(f *ast.File, n ast.Node) {
+		local := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"repro"` {
+				local = "ants"
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+			}
+		}
+		ast.Inspect(n, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && local != "" && x.Name == local {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	err = filepath.WalkDir("examples", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		markCalls(f, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range tests {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Example") {
+				markCalls(f, fn)
+			}
+		}
+	}
+
+	// A used function's signature makes the facade types it names used.
+	for name, sig := range sigs {
+		if !used[name] {
+			continue
+		}
+		ast.Inspect(sig, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				used[id.Name] = true
+			}
+			return true
+		})
+	}
+	sort.Strings(exported)
+	for _, name := range exported {
+		if !used[name] {
+			t.Errorf("ants.go exports %s, which no examples/ program, README.md, docs/ page or root Example function references; drop it or use it", name)
 		}
 	}
 }

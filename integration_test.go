@@ -9,6 +9,7 @@ import (
 	"repro/internal/automata"
 	"repro/internal/lowerbound"
 	"repro/internal/search"
+	"repro/internal/sim"
 )
 
 // TestIntegrationUpperVsLowerBound is the repository's end-to-end story in
@@ -97,11 +98,11 @@ func TestIntegrationMachineVsProgramEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	machine, err := ants.Algorithm1Machine(d)
+	machine, err := search.Algorithm1Machine(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	machFactory, err := ants.MachineSearch(machine, 0)
+	machFactory, err := sim.MachineFactory(machine, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

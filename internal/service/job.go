@@ -106,8 +106,8 @@ type JobSpec struct {
 	// Kind is KindSweep, KindScenario or KindShard.
 	Kind string `json:"kind"`
 
-	// Sweep is the registered sweep id ("e1", "e5", "s1", "s2"); KindSweep
-	// and KindShard (a shard names either Sweep or SynthSpecs).
+	// Sweep is the registered sweep id ("e1", "e5", "s1", "s2", "s3");
+	// KindSweep and KindShard (a shard names either Sweep or SynthSpecs).
 	Sweep string `json:"sweep,omitempty"`
 	// Quick shrinks the sweep's grid and trial counts (antsim -quick);
 	// KindSweep and KindShard over a registered sweep.

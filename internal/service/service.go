@@ -81,10 +81,6 @@ type Config struct {
 	// /v1/jobs/{id}/events (default DefaultEventKeepalive). Tests shrink
 	// it to observe keepalive frames quickly.
 	EventKeepalive time.Duration
-	// SnapshotEvery is how many WAL records accumulate before the durable
-	// store compacts them into a snapshot (default DefaultSnapshotEvery;
-	// only meaningful with a DataDir).
-	SnapshotEvery int
 }
 
 // Stats is the service's aggregate state, served at /v1/stats.
@@ -226,9 +222,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.EventKeepalive <= 0 {
 		cfg.EventKeepalive = DefaultEventKeepalive
 	}
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = DefaultSnapshotEvery
-	}
 	st := newStore()
 	var w *wal
 	if cfg.DataDir != "" {
@@ -239,7 +232,7 @@ func New(cfg Config) (*Service, error) {
 		if err != nil {
 			return nil, err
 		}
-		w, err = openWAL(cfg.DataDir, lastSeg, cfg.SnapshotEvery)
+		w, err = openWAL(cfg.DataDir, lastSeg)
 		if err != nil {
 			return nil, err
 		}
@@ -346,13 +339,15 @@ func (s *Service) compactLoop() {
 // in between is safe: replay applies the snapshot first and skips
 // whatever the surviving segments duplicate.
 func (s *Service) compactWAL() {
-	defer s.wal.compactionDone()
 	old := s.wal.rotate()
 	snap := s.store.snapshotAll()
-	if err := writeSnapshot(s.wal.dir, snap); err != nil {
+	size, err := writeSnapshot(s.wal.dir, snap)
+	if err != nil {
 		s.wal.errs.Add(1)
+		s.wal.compactionDone(0)
 		return // keep the old segments: they still cover the un-snapshotted state
 	}
+	s.wal.compactionDone(size)
 	for _, p := range old {
 		_ = os.Remove(p)
 	}
@@ -425,9 +420,11 @@ func (s *Service) Job(id string) (Job, error) {
 func (s *Service) Jobs() []Job { return s.store.list() }
 
 // Cancel requests cancellation of a job. A queued job transitions to
-// cancelled immediately; a running job is cancelled asynchronously at its
-// next point boundary (watch the event stream for the terminal state). It
-// returns ErrTerminal when the job already finished.
+// cancelled immediately; a running job is cancelled asynchronously (watch
+// the event stream for the terminal state): a sweep or shard job at its
+// next point boundary, a scenario job at once, by abandoning its engine
+// call, which finishes in the background. It returns ErrTerminal when the
+// job already finished.
 func (s *Service) Cancel(id string) (Job, error) {
 	rec, ok := s.store.get(id)
 	if !ok {
@@ -520,9 +517,9 @@ func (s *Service) draining() bool {
 
 // Close drains the service: new submissions are rejected, still-queued
 // jobs are cancelled, and running jobs are given until ctx's deadline to
-// finish. If the deadline strikes first, running jobs are cancelled at
-// their next point boundary (the sweep cache stays consistent — entries
-// commit atomically per point) and Close returns ctx's error; otherwise it
+// finish. If the deadline strikes first, running jobs are cancelled as
+// Cancel cancels them (the sweep cache stays consistent — entries commit
+// atomically per point) and Close returns ctx's error; otherwise it
 // returns nil. Close is idempotent.
 func (s *Service) Close(ctx context.Context) error {
 	s.sealMu.Lock()

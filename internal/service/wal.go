@@ -16,14 +16,17 @@ package service
 // segment; replay verifies length and checksum and stops cleanly at the
 // last intact record.
 //
-// Compaction bounds replay cost: after SnapshotEvery appended records the
-// service rotates to a fresh segment, snapshots the in-memory store (which
-// by then is a superset of everything in the rotated-out segments) to
-// snapshot.json via temp+rename, and deletes the old segments. Replay
-// applies the snapshot first and then the surviving segments
-// idempotently (a record whose job already exists, or whose event Seq is
-// already present, is skipped), so a crash anywhere inside compaction
-// loses nothing.
+// Compaction bounds replay cost: once the bytes appended since the last
+// snapshot reach that snapshot's size (or minCompactBytes, whichever is
+// larger) the service rotates to a fresh segment, snapshots the in-memory
+// store (which by then is a superset of everything in the rotated-out
+// segments) to snapshot.json via temp+rename, and deletes the old
+// segments. A snapshot holds the whole history, so tying the trigger to
+// its size keeps the compaction work per appended byte constant: N equal
+// appends cost O(log N) compactions, not O(N). Replay applies the
+// snapshot first and then the surviving segments idempotently (a record
+// whose job already exists, or whose event Seq is already present, is
+// skipped), so a crash anywhere inside compaction loses nothing.
 
 import (
 	"encoding/base64"
@@ -54,9 +57,10 @@ const (
 // snapshotSchemaVersion versions the snapshot.json layout.
 const snapshotSchemaVersion = 1
 
-// DefaultSnapshotEvery is how many WAL records accumulate before the
-// service compacts them into a snapshot (Config.SnapshotEvery overrides).
-const DefaultSnapshotEvery = 1024
+// minCompactBytes is the compaction trigger's floor: a young daemon with a
+// small snapshot still lets this many log bytes accumulate between
+// compactions.
+const minCompactBytes = 1 << 20
 
 // walSnapshotName is the snapshot file name inside the data directory.
 const walSnapshotName = "snapshot.json"
@@ -111,13 +115,13 @@ type snapshotJob struct {
 // (replayDurable) because it runs before any wal exists.
 type wal struct {
 	dir    string
-	every  int    // records between compaction triggers
 	notify func() // non-blocking kick of the service's compaction loop
 
 	mu         sync.Mutex
 	f          *os.File
 	seg        int
-	sinceSnap  int
+	sinceSnap  int64 // log bytes appended since the last snapshot's rotation
+	snapBytes  int64 // size of the last published snapshot
 	compacting bool
 
 	errs atomic.Int64 // append/compaction failures (durability degraded, service keeps running)
@@ -163,9 +167,19 @@ func listSegments(dir string) ([]int, error) {
 
 // openWAL starts a fresh segment after the highest replayed one. A new
 // segment per boot means a torn tail from the previous crash can never be
-// appended over.
-func openWAL(dir string, lastSeg, every int) (*wal, error) {
-	w := &wal{dir: dir, every: every, seg: lastSeg + 1}
+// appended over. The compaction trigger starts from the replayed state:
+// the snapshot's size, and the surviving segments as log since it.
+func openWAL(dir string, lastSeg int) (*wal, error) {
+	w := &wal{dir: dir, seg: lastSeg + 1}
+	if fi, err := os.Stat(filepath.Join(dir, walSnapshotName)); err == nil {
+		w.snapBytes = fi.Size()
+	}
+	segs, _ := listSegments(dir) // replay just listed them; a miss only delays compaction
+	for _, n := range segs {
+		if fi, err := os.Stat(segmentPath(dir, n)); err == nil {
+			w.sinceSnap += fi.Size()
+		}
+	}
 	f, err := os.OpenFile(segmentPath(dir, w.seg), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("service: open wal segment: %w", err)
@@ -201,10 +215,9 @@ func (w *wal) append(rec walRecord) {
 		w.errs.Add(1)
 		w.rotateLocked() // the torn tail poisons this segment; move on
 	} else {
-		w.sinceSnap++
-		if w.every > 0 && w.sinceSnap >= w.every && !w.compacting {
+		w.sinceSnap += int64(len(buf))
+		if w.sinceSnap >= max(w.snapBytes, minCompactBytes) && !w.compacting {
 			w.compacting = true
-			w.sinceSnap = 0
 			fire = true
 		}
 	}
@@ -232,11 +245,12 @@ func (w *wal) rotateLocked() {
 
 // rotate switches appends to a fresh segment and returns the paths of the
 // now-frozen older segments, ready to be deleted once a snapshot covering
-// them has been published.
+// them has been published. The log since the snapshot starts empty.
 func (w *wal) rotate() []string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.rotateLocked()
+	w.sinceSnap = 0
 	segs, err := listSegments(w.dir)
 	if err != nil {
 		w.errs.Add(1)
@@ -251,10 +265,13 @@ func (w *wal) rotate() []string {
 	return old
 }
 
-// compactionDone re-arms the compaction trigger.
-func (w *wal) compactionDone() {
+// compactionDone re-arms the compaction trigger with the size of the
+// snapshot just published (0 when publishing failed, so the next attempt
+// comes after minCompactBytes).
+func (w *wal) compactionDone(snapBytes int64) {
 	w.mu.Lock()
 	w.compacting = false
+	w.snapBytes = snapBytes
 	w.mu.Unlock()
 }
 
@@ -505,15 +522,17 @@ func (st *store) snapshotAll() walSnapshot {
 }
 
 // writeSnapshot publishes a snapshot atomically: write to a temp file in
-// the same directory, then rename over snapshot.json. The encoding is
-// compact: a snapshot holds every job's events and done artifacts, and
-// indenting it costs several times the encoding itself.
-func writeSnapshot(dir string, snap walSnapshot) error {
+// the same directory, then rename over snapshot.json. It returns the
+// snapshot's size in bytes. The encoding is compact: a snapshot holds
+// every job's events and done artifacts, and indenting it costs several
+// times the encoding itself.
+func writeSnapshot(dir string, snap walSnapshot) (int64, error) {
 	data, err := json.Marshal(snap)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return writeFileAtomic(filepath.Join(dir, walSnapshotName), append(data, '\n'))
+	data = append(data, '\n')
+	return int64(len(data)), writeFileAtomic(filepath.Join(dir, walSnapshotName), data)
 }
 
 // writeFileAtomic writes data to path via a same-directory temp file and

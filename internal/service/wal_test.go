@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -176,7 +177,7 @@ func TestDurableReplayRequeuesInterruptedJobs(t *testing.T) {
 	dir := t.TempDir()
 	spec := scenarioSpec(1)
 	spec.Normalize()
-	w, err := openWAL(dir, 0, DefaultSnapshotEvery)
+	w, err := openWAL(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestWALReplayRejectsSeqGap(t *testing.T) {
 	dir := t.TempDir()
 	spec := scenarioSpec(1)
 	spec.Normalize()
-	w, err := openWAL(dir, 0, DefaultSnapshotEvery)
+	w, err := openWAL(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,15 +286,18 @@ func TestWALReplayRejectsSeqGap(t *testing.T) {
 // TestSnapshotCompactionRoundTrip drives enough WAL volume to trigger
 // compaction, then proves the snapshot+surviving-segments combination
 // replays to the identical job table and that old segments were pruned.
+// Each fake CSV artifact is a quarter of minCompactBytes, so the done
+// frames of the five jobs pass the compaction floor.
 func TestSnapshotCompactionRoundTrip(t *testing.T) {
 	dataDir := t.TempDir()
-	cfg := Config{Workers: 1, DataDir: dataDir, SnapshotEvery: 4}
+	cfg := Config{Workers: 1, DataDir: dataDir}
+	fakeCSV := bytes.Repeat([]byte("csv\n"), minCompactBytes/16)
 	svc1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	svc1.execute = func(ctx context.Context, rec *record) ([]byte, []byte, error) {
-		return []byte("{}\n"), []byte("csv\n"), nil
+		return []byte("{}\n"), fakeCSV, nil
 	}
 	for seed := uint64(1); seed <= 5; seed++ {
 		job, err := svc1.Submit(scenarioSpec(seed))
@@ -328,12 +332,59 @@ func TestSnapshotCompactionRoundTrip(t *testing.T) {
 	// The snapshot carries the artifacts of the jobs whose done frames
 	// were in the pruned segments.
 	for _, j := range svc2.Jobs() {
-		if csv, err := svc2.Artifact(j.ID, "csv"); err != nil || string(csv) != "csv\n" {
-			t.Errorf("replayed artifact of %s = %q, %v", j.ID, csv, err)
+		if csv, err := svc2.Artifact(j.ID, "csv"); err != nil || !bytes.Equal(csv, fakeCSV) {
+			t.Errorf("replayed artifact of %s = %d bytes, %v; want the %d-byte fake", j.ID, len(csv), err, len(fakeCSV))
 		}
 	}
 	if st := svc2.Stats(); st.WALErrors != 0 {
 		t.Errorf("WALErrors = %d after a clean compaction cycle", st.WALErrors)
+	}
+}
+
+// TestWALCompactionsGrowLogarithmically appends N equal records to a WAL
+// whose compactions publish a snapshot as large as the history so far, as
+// a real snapshot of every job is. Tying the trigger to the snapshot's
+// size doubles the history between compactions, so N appends cost
+// O(log N) compactions; a fixed record-count trigger would cost O(N).
+func TestWALCompactionsGrowLogarithmically(t *testing.T) {
+	dir := t.TempDir()
+	w, err := openWAL(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.close()
+	var history int64 // bytes appended so far: the size of a full snapshot
+	compactions := 0
+	w.notify = func() {
+		compactions++
+		for _, p := range w.rotate() {
+			if err := os.Remove(p); err != nil {
+				t.Error(err)
+			}
+		}
+		w.compactionDone(history)
+	}
+	rec := walRecord{Kind: walKindEvent, Job: "j000001",
+		Event: &Event{Job: "j000001", Type: EventState, State: StateRunning, Error: strings.Repeat("x", 4000)}}
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frameBytes := int64(len(frame(payload)))
+	const n = 2048
+	for i := 0; i < n; i++ {
+		history += frameBytes
+		w.append(rec)
+	}
+	if w.errs.Load() != 0 {
+		t.Fatalf("%d append errors", w.errs.Load())
+	}
+	// history ≈ 8 MiB, so the trigger fires at about 1, 2 and 4 MiB.
+	maxCompactions := bits.Len64(uint64(history/minCompactBytes)) + 1
+	t.Logf("%d equal appends, %d bytes: %d compactions", n, history, compactions)
+	if compactions < 1 || compactions > maxCompactions {
+		t.Errorf("%d equal appends (%d bytes) caused %d compactions, want 1..%d (about log2 of history/floor)",
+			n, history, compactions, maxCompactions)
 	}
 }
 
@@ -347,7 +398,7 @@ func TestDoneJobWithMissingArtifactsReExecutes(t *testing.T) {
 	dataDir := t.TempDir()
 	spec := scenarioSpec(1)
 	spec.Normalize()
-	w, err := openWAL(dataDir, 0, DefaultSnapshotEvery)
+	w, err := openWAL(dataDir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -781,7 +832,7 @@ func TestReplayRejectsRecordsTheStoreCannotWrite(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			w, err := openWAL(dir, 0, DefaultSnapshotEvery)
+			w, err := openWAL(dir, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -837,7 +888,7 @@ func TestReplayRejectsMisplacedArtifacts(t *testing.T) {
 	spec.Normalize()
 	art := &artifacts{JSON: []byte("{}\n"), CSV: []byte("csv\n")}
 	dir := t.TempDir()
-	w, err := openWAL(dir, 0, DefaultSnapshotEvery)
+	w, err := openWAL(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -855,7 +906,7 @@ func TestReplayRejectsMisplacedArtifacts(t *testing.T) {
 		Events:    []Event{{Seq: 0, Job: "j000001", Type: EventState, State: StateQueued}},
 		Artifacts: art,
 	}}}
-	if err := writeSnapshot(dir, snap); err != nil {
+	if _, err := writeSnapshot(dir, snap); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := newStore().replayDurable(dir); !errors.Is(err, ErrCorruptLog) {

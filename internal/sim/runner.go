@@ -289,6 +289,13 @@ type TrialStats struct {
 // Trials are executed sequentially; the agents within each trial already
 // fan out over the worker pool.
 func RunTrials(cfg Config, factory Factory, trials int, seed uint64) (*TrialStats, error) {
+	return runTrials(cfg, factory, trials, seed, nil)
+}
+
+// runTrials is the trial loop of RunTrials and RunPlacedTrials: trial t
+// runs on substream t of the root seed. A non-nil place sets each trial's
+// target on cfg before the trial runs; its error is returned as is.
+func runTrials(cfg Config, factory Factory, trials int, seed uint64, place func(*Config) error) (*TrialStats, error) {
 	if trials < 1 {
 		return nil, fmt.Errorf("sim: need at least one trial, got %d", trials)
 	}
@@ -296,6 +303,11 @@ func RunTrials(cfg Config, factory Factory, trials int, seed uint64) (*TrialStat
 	st := &TrialStats{Trials: trials}
 	found := 0
 	for t := 0; t < trials; t++ {
+		if place != nil {
+			if err := place(&cfg); err != nil {
+				return nil, err
+			}
+		}
 		res, err := Run(cfg, factory, root.Derive(uint64(t)))
 		if err != nil {
 			return nil, fmt.Errorf("sim: trial %d: %w", t, err)

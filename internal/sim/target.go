@@ -75,31 +75,10 @@ func (p Placement) Pick(d int64, src *rng.Source) (grid.Point, error) {
 // RunPlacedTrials is RunTrials with a fresh target drawn per trial from the
 // placement at distance d. cfg.Target and cfg.HasTarget are overwritten.
 func RunPlacedTrials(cfg Config, place Placement, d int64, factory Factory, trials int, seed uint64) (*TrialStats, error) {
-	if trials < 1 {
-		return nil, fmt.Errorf("sim: need at least one trial, got %d", trials)
-	}
-	root := rng.New(seed)
-	targetSrc := root.Derive(1 << 62)
-	st := &TrialStats{Trials: trials}
-	found := 0
-	for t := 0; t < trials; t++ {
+	targetSrc := rng.New(seed).Derive(1 << 62)
+	return runTrials(cfg, factory, trials, seed, func(c *Config) error {
 		target, err := place.Pick(d, targetSrc)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Target = target
-		cfg.HasTarget = true
-		res, err := Run(cfg, factory, root.Derive(uint64(t)))
-		if err != nil {
-			return nil, fmt.Errorf("sim: trial %d: %w", t, err)
-		}
-		if res.Found {
-			found++
-			st.Moves = append(st.Moves, float64(res.MinMoves))
-			st.Steps = append(st.Steps, float64(res.MinSteps))
-		}
-	}
-	st.FoundFrac = float64(found) / float64(trials)
-	st.FoundAll = found == trials
-	return st, nil
+		c.Target, c.HasTarget = target, true
+		return err
+	})
 }
