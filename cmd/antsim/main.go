@@ -184,11 +184,6 @@ func run(args []string, out io.Writer) error {
 		moveBudget = experiment.DefaultMoveBudget(*d)
 	}
 
-	cfg := sim.Config{
-		NumAgents:  *n,
-		MoveBudget: moveBudget,
-		Workers:    *workers,
-	}
 	var st *sim.TrialStats
 	var scn scenario.Scenario
 	if *scnSpec != "" {
@@ -201,9 +196,13 @@ func run(args []string, out io.Writer) error {
 			// synchronous rounds engine; -algo does not apply there.
 			return runRoundsScenario(scn, *d, *n, *trials, *seed, *budget, *workers, out)
 		}
-		st, err = sim.RunTrials(scn.Apply(cfg), factory, *trials, *seed)
+		run := experiment.ScenarioRun{Scenario: *scnSpec, Algo: *algo, D: *d, N: *n, Ell: *ell, Budget: moveBudget}
+		var rep *sweep.Report
+		if rep, err = sweep.Run(run.Grid(*trials), run.Trial, sweep.Options{Seed: *seed, Shards: 1, Workers: *workers}); err == nil {
+			st = experiment.FoldTrials(rep.Points)
+		}
 	} else {
-		st, err = sim.RunPlacedTrials(cfg, placement, *d, factory, *trials, *seed)
+		st, err = sim.RunPlacedTrials(sim.Config{NumAgents: *n, MoveBudget: moveBudget, Workers: *workers}, placement, *d, factory, *trials, *seed)
 	}
 	if err != nil {
 		return err

@@ -3,9 +3,7 @@ package experiment
 import (
 	"fmt"
 
-	"repro/internal/baseline"
 	"repro/internal/scenario"
-	"repro/internal/search"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/sweep"
@@ -74,27 +72,16 @@ func s2Grid(cfg Config) sweep.Grid {
 // depend on expansion order.
 func s2Point(p sweep.Point, ctx sweep.Ctx) (*sweep.Result, error) {
 	b := p.Bind()
-	spec := b.Str("scenario")
-	algo := b.Str("algo")
-	d := b.Int64("D")
-	n := b.Int("n")
+	r := ScenarioRun{Scenario: b.Str("scenario"), Algo: b.Str("algo"), D: b.Int64("D"), N: b.Int("n"), Ell: 1}
 	if err := b.Err(); err != nil {
 		return nil, err
 	}
-	scn, err := scenario.Build(spec, d)
+	r.Budget = uint64(r.D*r.D) * 512
+	_, cfg, factory, _, err := r.Build(ctx.Workers)
 	if err != nil {
 		return nil, err
 	}
-	factory, err := s2Factory(algo, d)
-	if err != nil {
-		return nil, err
-	}
-	cfg := scn.Apply(sim.Config{
-		NumAgents:  n,
-		MoveBudget: uint64(d*d) * 512,
-		Workers:    ctx.Workers,
-	})
-	st, err := sim.RunTrials(cfg, factory, ctx.Trials, s2Seed(ctx.Seed, spec, algo, d, n))
+	st, err := sim.RunTrials(cfg, factory, ctx.Trials, s2Seed(ctx.Seed, r.Scenario, r.Algo, r.D, r.N))
 	if err != nil {
 		return nil, err
 	}
@@ -102,21 +89,6 @@ func s2Point(p sweep.Point, ctx sweep.Ctx) (*sweep.Result, error) {
 		Samples: st.Moves,
 		Values:  map[string]float64{"found_frac": st.FoundFrac},
 	}, nil
-}
-
-func s2Factory(algo string, d int64) (sim.Factory, error) {
-	switch algo {
-	case "non-uniform":
-		prog, err := search.NewNonUniform(d, 1)
-		if err != nil {
-			return nil, err
-		}
-		return func() sim.Program { return prog }, nil
-	case "random-walk":
-		return baseline.RandomWalkFactory(), nil
-	default:
-		return nil, fmt.Errorf("experiment: unknown S2 algorithm %q", algo)
-	}
 }
 
 // s2Seed derives the point seed with an FNV-1a fold over the string axes

@@ -68,7 +68,7 @@ func checkScenarioGoldens(t *testing.T, svc *Service, ids []string) {
 	}
 }
 
-// copyDir copies the regular files of src into a fresh directory, the
+// copyDir copies the regular files of src into a fresh directory: the
 // state a kill -9 leaves on disk at that instant.
 func copyDir(t *testing.T, src string) string {
 	t.Helper()
@@ -94,9 +94,10 @@ func copyDir(t *testing.T, src string) string {
 
 // TestScenarioGoldenArtifacts: every golden scenario job serves exactly
 // the committed artifacts, on a durable daemon with a cache, and again
-// after a restart from the data directory as a kill left it while the
-// last job was running: the finished jobs replay their artifacts and the
-// interrupted one re-executes, resuming from the cache, to the same bytes.
+// after a restart from the data and cache directories as a kill left them
+// while the last job was running: the finished jobs replay their
+// artifacts and the interrupted one re-executes, resuming from the cache,
+// to the same bytes.
 func TestScenarioGoldenArtifacts(t *testing.T) {
 	dataDir, cacheDir := t.TempDir(), t.TempDir()
 	svc, err := New(Config{Workers: 1, DataDir: dataDir, CacheDir: cacheDir})
@@ -116,7 +117,7 @@ func TestScenarioGoldenArtifacts(t *testing.T) {
 		job := mustJob(t, svc, last)
 		return job.Done > 0 || job.State.Terminal()
 	})
-	killed := copyDir(t, dataDir)
+	killedData, killedCache := copyDir(t, dataDir), copyDir(t, cacheDir)
 	for _, id := range ids {
 		if final := waitDone(t, svc, id); final.State != StateDone {
 			t.Fatalf("job %s ended %s (%s)", id, final.State, final.Error)
@@ -127,7 +128,7 @@ func TestScenarioGoldenArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restarted, err := New(Config{Workers: 1, DataDir: killed, CacheDir: cacheDir})
+	restarted, err := New(Config{Workers: 1, DataDir: killedData, CacheDir: killedCache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,4 +139,16 @@ func TestScenarioGoldenArtifacts(t *testing.T) {
 		}
 	}
 	checkScenarioGoldens(t, restarted, ids)
+	// Recovery logs a queued transition for a job it re-executes. The kill
+	// came after the job's first trial was cached, so the re-execution
+	// serves at least that trial from the cache.
+	for _, ev := range eventsOf(t, restarted, last)[2:] {
+		if ev.Type == EventState && ev.State == StateQueued {
+			job := mustJob(t, restarted, last)
+			if job.CacheHits < 1 {
+				t.Errorf("re-executed job %s served %d cached trials, want ≥ 1", last, job.CacheHits)
+			}
+			t.Logf("job %s re-executed after the kill with %d of %d trials cached", last, job.CacheHits, job.Total)
+		}
+	}
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/experiment"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -409,6 +410,105 @@ func TestSubmitRejectsOversizedScenario(t *testing.T) {
 	spec.N, spec.Workers = sim.MaxAgents, maxWorkers
 	if err := spec.Validate(); err != nil {
 		t.Errorf("workers = maxWorkers: %v", err)
+	}
+}
+
+// TestSubmitBoundsScenarioTrials: a scenario job of maxTrials trials is
+// accepted, and one more is a 400 naming ErrTooManyTrials and the bound,
+// refused before the per-trial grid is expanded.
+func TestSubmitBoundsScenarioTrials(t *testing.T) {
+	svc, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close(context.Background())
+	// The accepted job is about its admission, not its 65536 trials.
+	svc.execute = func(context.Context, *record) ([]byte, []byte, error) {
+		return []byte("{}\n"), []byte("csv\n"), nil
+	}
+	h := svc.Handler()
+	for _, tc := range []struct {
+		trials int
+		status int
+		want   string
+	}{
+		{maxTrials, http.StatusAccepted, `"state": "queued"`},
+		{maxTrials + 1, http.StatusBadRequest, "service: too many trials: 65537, at most 65536"},
+	} {
+		body := fmt.Sprintf(`{"kind":"scenario","scenario":"open","d":8,"trials":%d}`, tc.trials)
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+		runtime.ReadMemStats(&after)
+		if rec.Code != tc.status || !strings.Contains(rec.Body.String(), tc.want) {
+			t.Errorf("trials=%d: status %d, body %s; want %d containing %q", tc.trials, rec.Code, rec.Body, tc.status, tc.want)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; tc.status == http.StatusBadRequest && b > 1<<20 {
+			t.Errorf("trials=%d: the rejected POST allocated %d bytes", tc.trials, b)
+		}
+	}
+	spec := JobSpec{Kind: KindScenario, Scenario: "open", Trials: maxTrials + 1}
+	spec.Normalize()
+	if err := spec.Validate(); !errors.Is(err, ErrTooManyTrials) {
+		t.Errorf("trials = maxTrials+1: %v, want ErrTooManyTrials", err)
+	}
+}
+
+// TestSubmitRefusesRoundsOnlyScenarios: a scenario job runs on the
+// asynchronous engine, so every registered preset that needs the rounds
+// engine (RoundsOnly), bare or with parameters, is a 400 with a named
+// error pointing to `antsim -scenario`, and every other preset validates.
+func TestSubmitRefusesRoundsOnlyScenarios(t *testing.T) {
+	svc, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close(context.Background())
+	svc.execute = func(context.Context, *record) ([]byte, []byte, error) {
+		t.Error("a rounds-only spec reached the executor")
+		return nil, nil, errors.New("rejected spec executed")
+	}
+	refused := []string{"adaptive-crash:b=2", "mixed:m=2", "adaptive-crash:crash=0.01,every=4"}
+	for _, name := range scenario.Names() {
+		scn, err := scenario.Build(name, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scn.RoundsOnly() {
+			refused = append(refused, name)
+			continue
+		}
+		spec := JobSpec{Kind: KindScenario, Scenario: name, D: 8}
+		spec.Normalize()
+		if err := spec.Validate(); err != nil {
+			t.Errorf("asynchronous preset %q: %v", name, err)
+		}
+	}
+	if len(refused) < 5 {
+		t.Fatalf("the registry has %d rounds-only presets; the table checks nothing", len(refused)-3)
+	}
+	h := svc.Handler()
+	for _, name := range refused {
+		scn, err := scenario.Build(name, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := JobSpec{Kind: KindScenario, Scenario: name, D: 8}
+		spec.Normalize()
+		want := fmt.Sprintf("service: rounds-only scenario preset; run it with antsim -scenario: %q", scn.Spec)
+		if err := spec.Validate(); !errors.Is(err, ErrRoundsOnlyScenario) || err.Error() != want {
+			t.Errorf("%s: Validate = %v, want %s", name, err, want)
+		}
+		rec := httptest.NewRecorder()
+		body := fmt.Sprintf(`{"kind":"scenario","scenario":%q,"d":8}`, name)
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "antsim -scenario") {
+			t.Errorf("%s: status %d, body %s; want 400 pointing to antsim -scenario", name, rec.Code, rec.Body)
+		}
+	}
+	if jobs := svc.Jobs(); len(jobs) != 0 {
+		t.Errorf("refused submissions left %d jobs", len(jobs))
 	}
 }
 

@@ -9,10 +9,10 @@
 //
 //   - JobSpec names the work, one of three kinds: a registered sweep
 //     (internal/experiment), a single scenario configuration
-//     (internal/scenario), or a shard: points of one grid, which is a
-//     registered sweep or an inline synthesis evaluation grid
-//     (internal/synth). Shards are the worker half of distributed runs
-//     (internal/cluster).
+//     (internal/scenario) run as a grid over its trials, or a shard:
+//     points of one grid, which is a registered sweep or an inline
+//     synthesis evaluation grid (internal/synth). Shards are the worker
+//     half of distributed runs (internal/cluster).
 //   - Job is the lifecycle record: queued → running → done | failed |
 //     cancelled, with progress counters and timestamps.
 //   - Service owns the queue, the worker pool, the per-job event logs and
@@ -29,11 +29,11 @@
 package service
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
 	"repro/internal/experiment"
-	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/synth"
@@ -45,9 +45,9 @@ type JobState string
 // The job lifecycle states. Transitions: queued → running → done | failed;
 // queued → cancelled (cancel or shutdown before a worker claims the job);
 // running → cancelled (cancel or shutdown drain timeout — observed at the
-// next grid-point boundary for sweep and shard jobs, which share one grid
-// executor, and by abandoning the in-flight engine call for scenario
-// jobs). done, failed and cancelled are terminal.
+// next grid-point boundary, whatever the kind: every kind runs as a grid,
+// and a scenario job's points are its trials). done, failed and cancelled
+// are terminal.
 const (
 	// StateQueued: accepted and waiting for a worker.
 	StateQueued JobState = "queued"
@@ -73,7 +73,8 @@ const (
 	// through the sweep layer, exactly like `antsim -sweep`.
 	KindSweep = "sweep"
 	// KindScenario runs one scenario configuration (internal/scenario),
-	// exactly like `antsim -scenario`.
+	// exactly like `antsim -scenario`, as an inline grid with one point
+	// per trial. Rounds-only presets are refused (ErrRoundsOnlyScenario).
 	KindScenario = "scenario"
 	// KindShard runs points of one grid, identified by expansion index:
 	// a registered sweep's grid (Sweep), or the synthesis evaluation grid
@@ -91,6 +92,11 @@ const (
 // constant, not the host's core count, so a coordinator and its workers
 // accept the same specs.
 const maxWorkers = 1024
+
+// maxTrials bounds a scenario job's Trials, fixed like maxWorkers: each
+// trial is a grid point, an event and a WAL record, and Validate expands
+// the grid, so the bound caps what a submission allocates.
+const maxTrials = 1 << 16
 
 // inlineSynth is the sweep id a shard artifact records for an inline
 // synthesis grid. It is also the retired job kind that scored synthesis
@@ -133,9 +139,9 @@ type JobSpec struct {
 	// Budget is the per-agent move budget (default 512·D²); KindScenario
 	// only.
 	Budget uint64 `json:"budget,omitempty"`
-	// Trials is the number of independent trials (scenario default 20,
-	// inline synth grid default 32); KindScenario and KindShard over an
-	// inline synth grid.
+	// Trials is the number of independent trials (scenario default 20, at
+	// most 65536; inline synth grid default 32); KindScenario and
+	// KindShard over an inline synth grid.
 	Trials int `json:"trials,omitempty"`
 
 	// SynthSpecs are the candidate machine specs of an inline synthesis
@@ -156,9 +162,9 @@ type JobSpec struct {
 	// Seed is the root random seed (default 0; pass the CLI's -seed value
 	// to reproduce a CLI run).
 	Seed uint64 `json:"seed"`
-	// Workers bounds the job's internal concurrency: concurrent grid
-	// points for KindSweep and KindShard, engine workers for KindScenario
-	// (0 = GOMAXPROCS, at most 1024). Results never depend on it.
+	// Workers bounds the job's internal concurrency, never its results:
+	// concurrent grid points for KindSweep and KindShard, engine workers
+	// for KindScenario, one trial at a time (0 = GOMAXPROCS, at most 1024).
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -194,32 +200,20 @@ func (s *JobSpec) Normalize() {
 		s.SynthBudgetFactor = ec.BudgetFactor
 	}
 	if s.Kind == KindScenario {
-		if s.Algo == "" {
-			s.Algo = "non-uniform"
-		}
-		if s.D == 0 {
-			s.D = 64
-		}
-		if s.N == 0 {
-			s.N = 4
-		}
-		if s.Ell == 0 {
-			s.Ell = 1
-		}
-		if s.Trials == 0 {
-			s.Trials = 20
-		}
-		if s.Budget == 0 {
-			s.Budget = experiment.DefaultMoveBudget(s.D)
-		}
+		s.Algo = cmp.Or(s.Algo, "non-uniform")
+		s.D = cmp.Or(s.D, 64)
+		s.N = cmp.Or(s.N, 4)
+		s.Ell = cmp.Or(s.Ell, 1)
+		s.Trials = cmp.Or(s.Trials, 20)
+		s.Budget = cmp.Or(s.Budget, experiment.DefaultMoveBudget(s.D))
 	}
 }
 
 // Validate checks the (normalized) spec against the registries it names:
-// a sweep or shard job's grid must resolve (Grid) and its candidate
-// machines build, a shard's points must lie in the grid, the scenario
-// spec must build in internal/scenario, and the algorithm name must
-// resolve. It reports the first problem found.
+// every kind's grid must resolve (Grid) and its candidate machines build,
+// a shard's points must lie in the grid, the scenario spec must build in
+// internal/scenario on the asynchronous engine, and the algorithm name
+// must resolve. It reports the first problem found.
 func (s JobSpec) Validate() error {
 	switch s.Kind {
 	case KindSweep, KindShard:
@@ -229,34 +223,6 @@ func (s JobSpec) Validate() error {
 		if s.Kind == KindSweep && (len(s.Points) != 0 || len(s.SynthSpecs) != 0) {
 			return fmt.Errorf("service: sweep job sets shard-only fields points or synth_specs (use kind %q)", KindShard)
 		}
-		g, _, _, err := s.Grid()
-		if err != nil {
-			return err
-		}
-		// Catches repeated candidates and distances of an inline grid.
-		if err := g.Validate(); err != nil {
-			return err
-		}
-		for i, cs := range s.SynthSpecs {
-			spec, err := synth.SpecFromJSON(cs)
-			if err == nil {
-				_, err = spec.Build()
-			}
-			if err != nil {
-				return fmt.Errorf("service: synth candidate %d: %w", i, err)
-			}
-		}
-		size := g.Size()
-		seen := make(map[int]bool, len(s.Points))
-		for _, idx := range s.Points {
-			if idx < 0 || idx >= size {
-				return fmt.Errorf("service: shard point index %d out of range [0,%d) of grid %q", idx, size, g.Name)
-			}
-			if seen[idx] {
-				return fmt.Errorf("service: shard point index %d listed twice", idx)
-			}
-			seen[idx] = true
-		}
 	case KindScenario:
 		if s.Scenario == "" {
 			return fmt.Errorf("service: scenario job needs a scenario spec (e.g. %q)", "open")
@@ -264,11 +230,8 @@ func (s JobSpec) Validate() error {
 		if s.Sweep != "" || s.Quick || len(s.Points) != 0 || len(s.SynthSpecs) != 0 || len(s.SynthDs) != 0 || s.SynthAgents != 0 || s.SynthBudgetFactor != 0 {
 			return fmt.Errorf("service: scenario job sets sweep-only or synth-only fields")
 		}
-		if s.D < 1 {
-			return fmt.Errorf("service: scenario job needs d ≥ 1, got %d", s.D)
-		}
-		if s.N < 1 {
-			return fmt.Errorf("service: scenario job needs n ≥ 1, got %d", s.N)
+		if s.D < 1 || s.N < 1 {
+			return fmt.Errorf("service: scenario job needs d ≥ 1 and n ≥ 1, got d=%d n=%d", s.D, s.N)
 		}
 		if s.N > sim.MaxAgents {
 			return fmt.Errorf("service: scenario job n: %w: %d, at most %d", sim.ErrTooManyAgents, s.N, sim.MaxAgents)
@@ -276,11 +239,15 @@ func (s JobSpec) Validate() error {
 		if s.Trials < 1 {
 			return fmt.Errorf("service: scenario job needs trials ≥ 1, got %d", s.Trials)
 		}
-		if _, err := scenario.Build(s.Scenario, s.D); err != nil {
+		if s.Trials > maxTrials {
+			return fmt.Errorf("%w: %d, at most %d", ErrTooManyTrials, s.Trials, maxTrials)
+		}
+		scn, _, _, _, err := s.scenarioRun().Build(0)
+		if err != nil {
 			return err
 		}
-		if _, _, err := experiment.BuildAlgorithm(s.Algo, s.D, s.N, s.Ell); err != nil {
-			return err
+		if scn.RoundsOnly() {
+			return fmt.Errorf("%w: %q", ErrRoundsOnlyScenario, scn.Spec)
 		}
 	case "":
 		return fmt.Errorf("service: job spec needs a kind (%q, %q or %q)", KindSweep, KindScenario, KindShard)
@@ -290,17 +257,49 @@ func (s JobSpec) Validate() error {
 	if s.Workers < 0 || s.Workers > maxWorkers {
 		return fmt.Errorf("service: workers must be in [0, %d], got %d", maxWorkers, s.Workers)
 	}
+	g, _, _, err := s.Grid()
+	if err != nil {
+		return err
+	}
+	// Catches repeated candidates and distances of an inline grid.
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	for i, cs := range s.SynthSpecs {
+		spec, err := synth.SpecFromJSON(cs)
+		if err == nil {
+			_, err = spec.Build()
+		}
+		if err != nil {
+			return fmt.Errorf("service: synth candidate %d: %w", i, err)
+		}
+	}
+	size := g.Size()
+	seen := make(map[int]bool, len(s.Points))
+	for _, idx := range s.Points {
+		if idx < 0 || idx >= size {
+			return fmt.Errorf("service: shard point index %d out of range [0,%d) of grid %q", idx, size, g.Name)
+		}
+		if seen[idx] {
+			return fmt.Errorf("service: shard point index %d listed twice", idx)
+		}
+		seen[idx] = true
+	}
 	return nil
 }
 
-// Grid resolves the grid a sweep or shard job runs: the registered sweep
-// Sweep names or, when SynthSpecs is set, the synthesis evaluation grid
-// over those candidates. It returns the expanded grid, the kernel that
-// computes one of its points, and the sweep id the shard artifact
-// records ("synth" for an inline grid). Validate, the grid executor of
-// sweep and shard jobs and the cluster coordinator all resolve grids
-// here, so a coordinator and its workers expand identical grids.
+// Grid resolves the grid a job runs: a scenario job's inline grid over its
+// trials, the registered sweep Sweep names or, when SynthSpecs is set, the
+// synthesis evaluation grid over those candidates. It returns the expanded
+// grid, the kernel that computes one of its points, and the sweep id the
+// shard artifact records ("synth" for an inline synth grid). Validate, the
+// grid executor and the cluster coordinator all resolve grids here, so a
+// coordinator and its workers expand identical grids.
 func (s JobSpec) Grid() (sweep.Grid, sweep.PointFunc, string, error) {
+	if s.Kind == KindScenario {
+		run := s.scenarioRun()
+		return run.Grid(s.Trials), run.Trial, KindScenario, nil
+	}
 	if len(s.SynthSpecs) != 0 {
 		if s.Sweep != "" || s.Quick {
 			return sweep.Grid{}, nil, "", fmt.Errorf("service: %s job names both synth_specs and a sweep", s.Kind)
@@ -322,6 +321,11 @@ func (s JobSpec) Grid() (sweep.Grid, sweep.PointFunc, string, error) {
 		return sweep.Grid{}, nil, "", err
 	}
 	return sp.Grid(experiment.Config{Quick: s.Quick}), sp.Point, sp.Name, nil
+}
+
+// scenarioRun assembles the configuration of a scenario job.
+func (s JobSpec) scenarioRun() experiment.ScenarioRun {
+	return experiment.ScenarioRun{Scenario: s.Scenario, Algo: s.Algo, D: s.D, N: s.N, Ell: s.Ell, Budget: s.Budget}
 }
 
 // synthEval assembles the evaluation config of an inline synth grid.
@@ -348,14 +352,14 @@ type Job struct {
 	// Error holds the failure (or cancellation) message for terminal
 	// failed/cancelled states.
 	Error string `json:"error,omitempty"`
-	// Done counts finished work units: grid points for sweep jobs, trials
-	// for scenario jobs.
+	// Done counts finished work units: grid points, which for scenario
+	// jobs are trials.
 	Done int `json:"done"`
 	// Total is the job's total work units, set when the job starts
 	// running (0 while queued).
 	Total int `json:"total"`
-	// CacheHits counts the sweep points served from the content-addressed
-	// cache (always 0 for scenario jobs).
+	// CacheHits counts the grid points served from the content-addressed
+	// cache.
 	CacheHits int `json:"cache_hits"`
 	// CreatedAt timestamps the submission.
 	CreatedAt time.Time `json:"created_at"`
@@ -372,8 +376,8 @@ const (
 	// EventState announces a lifecycle transition; Event.State has the
 	// new state and, for terminal failures, Event.Error the message.
 	EventState = "state"
-	// EventPoint announces one finished work unit (a sweep grid point),
-	// with Done/Total progress counters.
+	// EventPoint announces one finished work unit (a grid point; one
+	// trial of a scenario job), with Done/Total progress counters.
 	EventPoint = "point"
 	// EventTotal announces the job's total work units as soon as the
 	// executor knows them — before the first point finishes — so stream

@@ -7,16 +7,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/experiment"
 	"repro/internal/monitor"
-	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 )
@@ -38,6 +34,11 @@ var (
 	ErrBadFormat = errors.New(`service: artifact format must be "json" or "csv"`)
 	// ErrInvalidSpec wraps a job-spec validation failure (HTTP 400).
 	ErrInvalidSpec = errors.New("service: invalid job spec")
+	// ErrRoundsOnlyScenario: a scenario job names a preset only the rounds
+	// engine runs (a heterogeneous colony or the adaptive adversary).
+	ErrRoundsOnlyScenario = errors.New("service: rounds-only scenario preset; run it with antsim -scenario")
+	// ErrTooManyTrials: a scenario job asks for more than maxTrials trials.
+	ErrTooManyTrials = errors.New("service: too many trials")
 	// ErrArtifactTooLarge fails a job on a durable daemon whose
 	// artifacts would not fit in one WAL frame (framing.MaxPayload): the
 	// done frame carries them, and replay stops at a frame over the bound.
@@ -252,7 +253,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.qcond = sync.NewCond(&s.qmu)
 	s.registry.ttl = cfg.WorkerTTL
-	s.execute = s.executeJob
+	s.execute = s.executeGrid
 	if w != nil {
 		w.notify = func() {
 			select {
@@ -421,10 +422,10 @@ func (s *Service) Jobs() []Job { return s.store.list() }
 
 // Cancel requests cancellation of a job. A queued job transitions to
 // cancelled immediately; a running job is cancelled asynchronously (watch
-// the event stream for the terminal state): a sweep or shard job at its
-// next point boundary, a scenario job at once, by abandoning its engine
-// call, which finishes in the background. It returns ErrTerminal when the
-// job already finished.
+// the event stream for the terminal state) at its next grid-point
+// boundary, whatever its kind, so it reads cancelled only once its point
+// in flight (a trial, for a scenario job) has ended. It returns
+// ErrTerminal when the job already finished.
 func (s *Service) Cancel(id string) (Job, error) {
 	rec, ok := s.store.get(id)
 	if !ok {
@@ -519,8 +520,8 @@ func (s *Service) draining() bool {
 // jobs are cancelled, and running jobs are given until ctx's deadline to
 // finish. If the deadline strikes first, running jobs are cancelled as
 // Cancel cancels them (the sweep cache stays consistent — entries commit
-// atomically per point) and Close returns ctx's error; otherwise it
-// returns nil. Close is idempotent.
+// atomically per point) and Close returns ctx's error once their points
+// in flight end; otherwise it returns nil. Close is idempotent.
 func (s *Service) Close(ctx context.Context) error {
 	s.sealMu.Lock()
 	s.sealed = true
@@ -613,28 +614,15 @@ func (s *Service) runOne(rec *record) {
 	rec.mu.Unlock()
 }
 
-// executeJob is the real executor: it dispatches on the spec kind and
-// returns the JSON and CSV artifacts.
-func (s *Service) executeJob(ctx context.Context, rec *record) ([]byte, []byte, error) {
+// executeGrid is the real executor. Every kind runs its grid (JobSpec.Grid)
+// like the equivalent antsim invocation: the listed points, or every point
+// when Points is empty, through sweep.RunPointsContext, serving cache hits
+// from CacheDir. Only a sweep job offers itself to the Distributor first.
+// A scenario job runs one trial at a time with the engine over
+// spec.Workers, so it holds one trial's agents in memory; the other kinds
+// run spec.Workers points at once on single-threaded engines.
+func (s *Service) executeGrid(ctx context.Context, rec *record) ([]byte, []byte, error) {
 	spec := rec.snapshot().Spec
-	switch spec.Kind {
-	case KindSweep, KindShard:
-		return s.executeGrid(ctx, rec, spec)
-	case KindScenario:
-		return s.executeScenario(ctx, rec, spec)
-	default:
-		return nil, nil, fmt.Errorf("service: unknown job kind %q", spec.Kind)
-	}
-}
-
-// executeGrid runs a sweep or shard job's grid (JobSpec.Grid) exactly like
-// `antsim -sweep`: the listed points, or every point when Points is empty,
-// through sweep.RunPointsContext, serving cache hits from CacheDir. Only a
-// sweep job offers itself to the Distributor first; a shard job is what a
-// fleet runs. The JSON artifact is the summary for a sweep job and the
-// per-point ShardArtifact for a shard job; both serve the summary CSV,
-// whose bytes cache provenance never changes.
-func (s *Service) executeGrid(ctx context.Context, rec *record, spec JobSpec) ([]byte, []byte, error) {
 	g, kernel, label, err := spec.Grid()
 	if err != nil {
 		return nil, nil, err
@@ -668,13 +656,9 @@ func (s *Service) executeGrid(ctx context.Context, rec *record, spec JobSpec) ([
 		}
 	}
 	if rep == nil {
-		opts := sweep.Options{
-			Seed: spec.Seed,
-			// Point-level sharding is the parallelism: each point runs its
-			// engines single-threaded, as under `antsim -sweep`.
-			Shards:   spec.Workers,
-			Workers:  1,
-			Progress: progress,
+		opts := sweep.Options{Seed: spec.Seed, Shards: spec.Workers, Workers: 1, Progress: progress}
+		if spec.Kind == KindScenario {
+			opts.Shards, opts.Workers = 1, spec.Workers
 		}
 		if s.cfg.CacheDir != "" {
 			cache, err := sweep.NewCache(s.cfg.CacheDir)
@@ -688,16 +672,45 @@ func (s *Service) executeGrid(ctx context.Context, rec *record, spec JobSpec) ([
 			return nil, nil, err
 		}
 	}
-	sum := rep.Summary()
-	var art any = sum
-	if spec.Kind == KindShard {
-		art = newShardArtifact(label, rep)
+	return renderArtifacts(spec, label, rep)
+}
+
+// renderArtifacts renders a finished grid run as the job's JSON and CSV
+// artifacts by kind: the summary for a sweep job, a ShardArtifact for a
+// shard job (both serve the summary CSV), and the trials folded in order
+// into a scenarioArtifact for a scenario job.
+func renderArtifacts(spec JobSpec, label string, rep *sweep.Report) ([]byte, []byte, error) {
+	var art any
+	var csv string
+	switch spec.Kind {
+	case KindScenario:
+		scn, _, _, audit, err := spec.scenarioRun().Build(0)
+		if err != nil {
+			return nil, nil, err
+		}
+		st := experiment.FoldTrials(rep.Points)
+		sa := scenarioArtifact{SchemaVersion: scenarioArtifactSchemaVersion, Spec: spec, Scenario: scn.Spec,
+			World: scn.WorldName(), Targets: len(scn.Targets), Audit: audit, FoundFrac: st.FoundFrac}
+		if len(st.Moves) > 0 {
+			sum, err := stats.Summarize(st.Moves)
+			if err != nil {
+				return nil, nil, err
+			}
+			sa.Samples, sa.MeanMoves, sa.CI95Moves = sum.N, sum.Mean, sum.CI95
+			sa.MedianMoves, sa.MinMoves, sa.MaxMoves = sum.Median, sum.Min, sum.Max
+		}
+		art, csv = sa, scenarioCSV(sa)
+	case KindShard:
+		art, csv = newShardArtifact(label, rep), rep.Summary().CSV()
+	default:
+		sum := rep.Summary()
+		art, csv = sum, sum.CSV()
 	}
 	jsonB, err := json.MarshalIndent(art, "", "  ")
 	if err != nil {
 		return nil, nil, err
 	}
-	return append(jsonB, '\n'), []byte(sum.CSV()), nil
+	return append(jsonB, '\n'), []byte(csv), nil
 }
 
 // scenarioArtifactSchemaVersion versions the scenario-job artifact layout.
@@ -723,87 +736,12 @@ type scenarioArtifact struct {
 	MaxMoves      float64 `json:"max_moves"`
 }
 
-// executeScenario runs one scenario configuration exactly like
-// `antsim -scenario`: scenario overlay on a sim.Config, RunTrials, and a
-// deterministic summary artifact. Scenario jobs have no per-point
-// progress (trials run inside one engine call); cancellation abandons
-// the in-flight engine call — the goroutine finishes in the background
-// and its result is discarded — so shutdown never blocks on it.
-func (s *Service) executeScenario(ctx context.Context, rec *record, spec JobSpec) ([]byte, []byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	scn, err := scenario.Build(spec.Scenario, spec.D)
-	if err != nil {
-		return nil, nil, err
-	}
-	factory, audit, err := experiment.BuildAlgorithm(spec.Algo, spec.D, spec.N, spec.Ell)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := scn.Apply(sim.Config{
-		NumAgents:  spec.N,
-		MoveBudget: spec.Budget,
-		Workers:    spec.Workers,
-	})
-	rec.setTotal(spec.Trials)
-	type trialsOutcome struct {
-		st  *sim.TrialStats
-		err error
-	}
-	outcome := make(chan trialsOutcome, 1) // buffered: an abandoned run must not leak its goroutine
-	go func() {
-		st, err := sim.RunTrials(cfg, factory, spec.Trials, spec.Seed)
-		outcome <- trialsOutcome{st, err}
-	}()
-	var st *sim.TrialStats
-	select {
-	case <-ctx.Done():
-		return nil, nil, ctx.Err()
-	case out := <-outcome:
-		if out.err != nil {
-			return nil, nil, out.err
-		}
-		st = out.st
-	}
-	art := scenarioArtifact{
-		SchemaVersion: scenarioArtifactSchemaVersion,
-		Spec:          spec,
-		Scenario:      scn.Spec,
-		World:         scn.WorldName(),
-		Targets:       len(scn.Targets),
-		Audit:         audit,
-		FoundFrac:     st.FoundFrac,
-	}
-	if len(st.Moves) > 0 {
-		sum, err := stats.Summarize(st.Moves)
-		if err != nil {
-			return nil, nil, err
-		}
-		art.Samples = sum.N
-		art.MeanMoves = sum.Mean
-		art.CI95Moves = sum.CI95
-		art.MedianMoves = sum.Median
-		art.MinMoves = sum.Min
-		art.MaxMoves = sum.Max
-	}
-	rec.progress(spec.Trials, spec.Trials, "trials="+strconv.Itoa(spec.Trials), false)
-	jsonB, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return nil, nil, err
-	}
-	jsonB = append(jsonB, '\n')
-	return jsonB, []byte(scenarioCSV(art)), nil
-}
-
 // scenarioCSV renders a scenario artifact as a one-row CSV using the
 // sweep layer's shared quoting and float-format rules — a canonical
 // scenario spec like "torus:crash=0.1,l=48" contains commas and must be
 // quoted.
 func scenarioCSV(a scenarioArtifact) string {
-	var b strings.Builder
-	b.WriteString("scenario,world,targets,found_frac,samples,mean,ci95,median,min,max\n")
-	fmt.Fprintf(&b, "%s,%s,%d,%s,%d,%s,%s,%s,%s,%s\n",
+	return "scenario,world,targets,found_frac,samples,mean,ci95,median,min,max\n" + fmt.Sprintf("%s,%s,%d,%s,%d,%s,%s,%s,%s,%s\n",
 		sweep.CSVField(a.Scenario), sweep.CSVField(a.World), a.Targets,
 		sweep.CSVFloat(a.FoundFrac), a.Samples,
 		sweep.CSVFloat(a.MeanMoves),
@@ -811,5 +749,4 @@ func scenarioCSV(a scenarioArtifact) string {
 		sweep.CSVFloat(a.MedianMoves),
 		sweep.CSVFloat(a.MinMoves),
 		sweep.CSVFloat(a.MaxMoves))
-	return b.String()
 }

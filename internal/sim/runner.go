@@ -292,14 +292,18 @@ func RunTrials(cfg Config, factory Factory, trials int, seed uint64) (*TrialStat
 	return runTrials(cfg, factory, trials, seed, nil)
 }
 
-// runTrials is the trial loop of RunTrials and RunPlacedTrials: trial t
-// runs on substream t of the root seed. A non-nil place sets each trial's
-// target on cfg before the trial runs; its error is returned as is.
+// RunTrial runs trial t: Run on substream t of the root seed (RunTrials' rule).
+func RunTrial(cfg Config, factory Factory, seed uint64, t int) (*Result, error) {
+	return Run(cfg, factory, rng.New(seed).Derive(uint64(t)))
+}
+
+// runTrials is the trial loop of RunTrials and RunPlacedTrials. A non-nil
+// place sets each trial's target on cfg before the trial runs; its error
+// is returned as is.
 func runTrials(cfg Config, factory Factory, trials int, seed uint64, place func(*Config) error) (*TrialStats, error) {
 	if trials < 1 {
 		return nil, fmt.Errorf("sim: need at least one trial, got %d", trials)
 	}
-	root := rng.New(seed)
 	st := &TrialStats{Trials: trials}
 	found := 0
 	for t := 0; t < trials; t++ {
@@ -308,7 +312,7 @@ func runTrials(cfg Config, factory Factory, trials int, seed uint64, place func(
 				return nil, err
 			}
 		}
-		res, err := Run(cfg, factory, root.Derive(uint64(t)))
+		res, err := RunTrial(cfg, factory, seed, t)
 		if err != nil {
 			return nil, fmt.Errorf("sim: trial %d: %w", t, err)
 		}
