@@ -10,7 +10,7 @@ import (
 )
 
 // s2 is a supplementary robustness sweep: every registered scenario preset
-// (restricted sectors, torus wraparound, obstacle fields, multi-target
+// that runs on the asynchronous engine (restricted sectors, torus wraparound, obstacle fields, multi-target
 // placements, agent faults) crossed with a paper algorithm and the
 // random-walk baseline. The paper's bounds are proved for the open plane;
 // this grid shows where they degrade gracefully (wraparound, extra
@@ -47,11 +47,13 @@ func s2Sweep() SweepSpec {
 func s2Grid(cfg Config) sweep.Grid {
 	d := int64(32)
 	trials := 12
-	specs := scenario.Names()
+	var specs []string
 	if cfg.Quick {
 		d = 16
 		trials = 4
 		specs = []string{"open", "quadrant", "torus", "ring", "crash"}
+	} else {
+		specs = asyncPresets(d)
 	}
 	return sweep.Grid{
 		Name:    "s2-scenarios",
@@ -64,6 +66,22 @@ func s2Grid(cfg Config) sweep.Grid {
 		},
 		Trials: trials,
 	}
+}
+
+// asyncPresets returns the registered preset names whose scenario at
+// distance d runs on the asynchronous engine that s2Point uses: a
+// rounds-only preset (heterogeneous colony, adaptive adversary) has no
+// async run to put in a row. A preset that fails to build stays, so its
+// point names the error.
+func asyncPresets(d int64) []string {
+	var names []string
+	for _, name := range scenario.Names() {
+		if scn, err := scenario.Build(name, d); err == nil && scn.RoundsOnly() {
+			continue
+		}
+		names = append(names, name)
+	}
+	return names
 }
 
 // s2Point runs one (scenario, algo) cell: trials of the algorithm against

@@ -93,6 +93,15 @@ func (c *Coin) Composite(k uint) bool {
 // many heads left to its cap cannot overrun the cap inside a block.
 const headsBlock = 16
 
+// headsMask turns a coin's mask into the mask HeadsRun tests the state
+// with. A word of the generator is a base heads when next's output word
+// rotl(s1·5, 7)·9 has a set bit under mask. Multiplying by the odd 9 is
+// a bijection on the low ℓ bits that keeps zero at zero, so that holds
+// exactly when rotl(s1·5, 7) has one, that is when s1·5 has a set bit
+// under mask rotated right by 7: a flip is decided from the state before
+// the step, without computing the output word.
+func headsMask(mask uint64) uint64 { return bits.RotateLeft64(mask, -7) }
+
 // HeadsRun flips the composite coin(k, ℓ) until it shows tails or has
 // shown max heads, and returns the number of heads and whether the run
 // ended on tails. It is a run of Composite(k) calls in one loop: it draws
@@ -101,14 +110,16 @@ const headsBlock = 16
 // changing the stream. max == 0 flips nothing; k == 0 and ℓ == 0 show
 // tails at once, after the k base flips Composite would count.
 //
-// While at least headsBlock heads remain before max (and k ≤ 64 −
-// headsBlock), it draws headsBlock words at a time and finds the stop
-// without a branch per flip: a mask of the block's base heads, prefixed by
-// the base tails already drawn in the current composite flip, gives the
-// first run of k base tails by a shift-AND. On tails it rewinds the source
-// to the block's start and re-draws exactly the words the per-flip loop
-// would have consumed. The rest of the run, and every run with a smaller
-// cap, takes the per-flip loop.
+// Both paths decide each base flip with headsMask on the state and step
+// the state with step, never computing an output word. While at least
+// headsBlock heads remain before max (and k ≤ 64 − headsBlock), it draws
+// headsBlock words at a time and finds the stop without a branch per
+// flip: a mask of the block's base heads, prefixed by the base tails
+// already drawn in the current composite flip, gives the first run of k
+// base tails by a shift-AND. On tails it re-steps the source from the
+// block's start to exactly the words the per-flip loop would have
+// consumed. The rest of the run, and every run with a smaller cap, takes
+// the per-flip loop.
 func (c *Coin) HeadsRun(k uint, max uint64) (n uint64, tails bool) {
 	switch {
 	case max == 0:
@@ -126,17 +137,17 @@ func (c *Coin) HeadsRun(k uint, max uint64) (n uint64, tails bool) {
 			return n, true
 		}
 	}
-	// The state lives in four locals stepped through next, which keeps it
+	// The state lives in four locals stepped through step, which keeps it
 	// in registers: one base flip per word, a composite heads at the first
 	// base heads, tails after k base tails.
 	s0, s1, s2, s3 := c.src.s0, c.src.s1, c.src.s2, c.src.s3
-	mask, flips := c.mask, c.flips
+	rm, flips := headsMask(c.mask), c.flips
 	for n < max {
 		i := zr + 1
 		for {
-			var w uint64
-			w, s0, s1, s2, s3 = next(s0, s1, s2, s3)
-			if w&mask != 0 {
+			heads := s1*5&rm != 0
+			s0, s1, s2, s3 = step(s0, s1, s2, s3)
+			if heads {
 				break
 			}
 			if i == k {
@@ -162,47 +173,79 @@ func (c *Coin) HeadsRun(k uint, max uint64) (n uint64, tails bool) {
 // the heads drawn, whether the run ended on tails and, if it did not, the
 // base tails already drawn in the current composite flip.
 func (c *Coin) headsBlocks(k uint, max uint64) (n uint64, zr uint, tails bool) {
-	src, mask := c.src, c.mask
+	s0, s1, s2, s3 := c.src.s0, c.src.s1, c.src.s2, c.src.s3
+	rm, flips := headsMask(c.mask), c.flips
 	for max-n >= headsBlock {
-		// The block draws from locals stepped through next; src keeps
-		// the block's start.
-		s0, s1, s2, s3 := src.s0, src.s1, src.s2, src.s3
-		var h uint64 // bit j: word j of the block is a base heads
-		for j := uint(0); j < headsBlock; j++ {
-			var w uint64
-			w, s0, s1, s2, s3 = next(s0, s1, s2, s3)
-			w &= mask
-			h |= (w | -w) >> 63 << j
-		}
-		// Bit i of r: position i is a base tails, where positions below zr
-		// are the current flip's earlier tails and zr+j is word j. After
-		// the shift-AND, bit i is set where k tails start; the first such
-		// start follows a heads (or is the flip's start), so it is where
-		// the per-flip loop shows composite tails.
-		r := (^h&(1<<headsBlock-1))<<zr | (1<<zr - 1)
+		h, t0, t1, t2, t3 := block(s0, s1, s2, s3, rm)
+		// A set bit of z is a base tails: word j is bit headsBlock−1−j,
+		// and the zr tails the current flip drew before the block sit
+		// above it, so earlier draws are higher bits. After the
+		// shift-AND, bit i of r is set where k tails start; the first such
+		// start, the highest, follows a heads or opens the flip, so it is
+		// where the per-flip loop shows composite tails. (zr and sh are
+		// below 64; the &63 only spares each shift its range check.)
+		z := ^h&(1<<headsBlock-1) | (1<<(zr&63)-1)<<headsBlock
+		r := z
 		for run := uint(1); run < k; {
 			sh := min(run, k-run)
-			r &= r >> sh
+			r &= r << (sh & 63)
 			run += sh
 		}
 		if r == 0 {
 			n += uint64(bits.OnesCount64(h))
-			c.flips += headsBlock
-			zr += headsBlock - uint(bits.Len64(h<<zr))
-			src.s0, src.s1, src.s2, src.s3 = s0, s1, s2, s3
+			flips += headsBlock
+			zr = uint(bits.TrailingZeros64(^z)) // the tails that end z
+			s0, s1, s2, s3 = t0, t1, t2, t3
 			continue
 		}
-		used := uint(bits.TrailingZeros64(r)) + k - zr // words up to the k-th tails
-		n += uint64(bits.OnesCount64(h & (1<<used - 1)))
-		c.flips += uint64(used)
-		s0, s1, s2, s3 = src.s0, src.s1, src.s2, src.s3
+		used := headsBlock - uint(bits.Len64(r)) + k // words up to the k-th tails
+		n += uint64(bits.OnesCount64(h >> (headsBlock - used)))
+		flips += uint64(used)
 		for ; used > 0; used-- {
-			_, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+			s0, s1, s2, s3 = step(s0, s1, s2, s3)
 		}
-		src.s0, src.s1, src.s2, src.s3 = s0, s1, s2, s3
-		return n, 0, true
+		zr, tails = 0, true
+		break
 	}
-	return n, zr, false
+	c.src.s0, c.src.s1, c.src.s2, c.src.s3 = s0, s1, s2, s3
+	c.flips = flips
+	return n, zr, tails
+}
+
+// block draws headsBlock words from the state and returns h, whose bit
+// headsBlock−1−j is set when word j is a base heads under the rotated
+// mask rm (see headsMask), and the state after them. It is unrolled and
+// kept out of line so that, as a leaf, it holds the state, rm and h in
+// registers for the whole block.
+//
+//go:noinline
+func block(s0, s1, s2, s3, rm uint64) (h, t0, t1, t2, t3 uint64) {
+	h, s0, s1, s2, s3 = flip(h, s0, s1, s2, s3, rm)
+	h, s0, s1, s2, s3 = flip(h, s0, s1, s2, s3, rm)
+	h, s0, s1, s2, s3 = flip(h, s0, s1, s2, s3, rm)
+	h, s0, s1, s2, s3 = flip(h, s0, s1, s2, s3, rm)
+	h, s0, s1, s2, s3 = flip(h, s0, s1, s2, s3, rm)
+	h, s0, s1, s2, s3 = flip(h, s0, s1, s2, s3, rm)
+	h, s0, s1, s2, s3 = flip(h, s0, s1, s2, s3, rm)
+	h, s0, s1, s2, s3 = flip(h, s0, s1, s2, s3, rm)
+	h, s0, s1, s2, s3 = flip(h, s0, s1, s2, s3, rm)
+	h, s0, s1, s2, s3 = flip(h, s0, s1, s2, s3, rm)
+	h, s0, s1, s2, s3 = flip(h, s0, s1, s2, s3, rm)
+	h, s0, s1, s2, s3 = flip(h, s0, s1, s2, s3, rm)
+	h, s0, s1, s2, s3 = flip(h, s0, s1, s2, s3, rm)
+	h, s0, s1, s2, s3 = flip(h, s0, s1, s2, s3, rm)
+	h, s0, s1, s2, s3 = flip(h, s0, s1, s2, s3, rm)
+	h, s0, s1, s2, s3 = flip(h, s0, s1, s2, s3, rm)
+	return h, s0, s1, s2, s3
+}
+
+// flip is one base flip of block: it shifts h left by one, sets its low
+// bit when the state's word is a base heads under rm, and steps the
+// state. (w|-w)>>63 is w ≠ 0 without a branch.
+func flip(h, s0, s1, s2, s3, rm uint64) (uint64, uint64, uint64, uint64, uint64) {
+	w := s1 * 5 & rm
+	s0, s1, s2, s3 = step(s0, s1, s2, s3)
+	return 2*h + (w|-w)>>63, s0, s1, s2, s3
 }
 
 // Fair reports a fair coin flip (probability 1/2 each way), drawn from the

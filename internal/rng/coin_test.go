@@ -173,6 +173,50 @@ func checkHeadsRuns(t *testing.T, ell, k uint, maxes []uint64, seed uint64, skip
 	}
 }
 
+// TestHeadsMaskDecidesTheFlip pins the fact HeadsRun's block and per-flip
+// loops rely on: at every precision, a word's output has a set bit under
+// the coin's mask exactly when the state's s1·5 has one under
+// headsMask(mask), and step moves the state as next does. A change to
+// next's scrambler fails here by case. The crafted cases set s1·5 to a
+// chosen value (0xcccc…cccd is 5's inverse mod 2⁶⁴), so both outcomes
+// occur at every ℓ, including the ℓ near MaxEll where a seeded stream
+// almost never shows tails.
+func TestHeadsMaskDecidesTheFlip(t *testing.T) {
+	const inv5 = 0xcccccccccccccccd
+	cases := []struct {
+		name string
+		s1   func(x, rm uint64) uint64 // the state's s1 from a random x
+	}{
+		{"seeded stream", func(x, _ uint64) uint64 { return x }},
+		{"s1·5 clear under the mask", func(x, rm uint64) uint64 { return (x &^ rm) * inv5 }},
+		{"s1·5 one bit under the mask", func(x, rm uint64) uint64 { return (x&^rm | rm&-rm) * inv5 }},
+		{"s1·5 set under the whole mask", func(x, rm uint64) uint64 { return (x | rm) * inv5 }},
+		{"s1 zero", func(_, _ uint64) uint64 { return 0 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for ell := uint(0); ell <= MaxEll; ell++ {
+				mask := MustCoin(ell, New(1)).mask
+				rm := headsMask(mask)
+				gen := New(uint64(ell) + 1)
+				for i := 0; i < 256; i++ {
+					src := Source{gen.Uint64(), tc.s1(gen.Uint64(), rm), gen.Uint64(), gen.Uint64()}
+					s0, s1, s2, s3 := step(src.s0, src.s1, src.s2, src.s3)
+					want := Source{s0, s1, s2, s3}
+					heads := src.s1*5&rm != 0
+					if out := src.Uint64(); out&mask != 0 != heads {
+						t.Fatalf("ℓ=%d s1=%#x: output %#x under mask %#x is heads %v, s1·5 under %#x says %v",
+							ell, src.s1, out, mask, out&mask != 0, rm, heads)
+					}
+					if src != want {
+						t.Fatalf("ℓ=%d: step moved the state to %+v, next to %+v", ell, want, src)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestHeadsRunMatchesComposite(t *testing.T) {
 	// k runs over the small composite sizes and the edges of the block
 	// path: a block's width, and the widest k it takes (64 − headsBlock).
@@ -310,12 +354,13 @@ func TestCoinEll(t *testing.T) {
 // BenchmarkHeadsRun times one HeadsRun call per op: max = 1 is the
 // one-flip path a walk takes where every move needs its own checks, and
 // an uncapped run is a whole directed walk of Algorithm 3 in open space
-// (2^{kℓ} − 1 heads on average). The heads/op metric turns ns/op into a
-// cost per move.
+// (2^{kℓ} − 1 heads on average; k = 6 at ℓ = 1 is E1's D = 64 cell). The
+// heads/op metric turns ns/op into a cost per move, and flips/op, one
+// generator word each, into a cost per word.
 func BenchmarkHeadsRun(b *testing.B) {
 	for _, max := range []uint64{1, math.MaxUint64} {
 		for _, ell := range []uint{1, 2} {
-			for _, k := range []uint{5, 7} {
+			for _, k := range []uint{5, 6, 7} {
 				name := fmt.Sprintf("max=%d/ell=%d/k=%d", max, ell, k)
 				if max == math.MaxUint64 {
 					name = fmt.Sprintf("max=inf/ell=%d/k=%d", ell, k)
@@ -328,6 +373,7 @@ func BenchmarkHeadsRun(b *testing.B) {
 						heads += n
 					}
 					b.ReportMetric(float64(heads)/float64(b.N), "heads/op")
+					b.ReportMetric(float64(c.Flips())/float64(b.N), "flips/op")
 				})
 			}
 		}

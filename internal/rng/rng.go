@@ -78,6 +78,18 @@ func next(s0, s1, s2, s3 uint64) (out, t0, t1, t2, t3 uint64) {
 	return out, s0, s1, s2, bits.RotateLeft64(s3, 45)
 }
 
+// step is next without the output word: the xoshiro256** state update
+// alone, for loops that decide a draw from the state (see headsMask).
+func step(s0, s1, s2, s3 uint64) (t0, t1, t2, t3 uint64) {
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return s0, s1, s2, bits.RotateLeft64(s3, 45)
+}
+
 // Derive returns a new independent Source for substream i of this source's
 // stream. It consumes no state from r; the substream identity is a pure
 // function of (r's current state, i), hashed through SplitMix64. Use it to
